@@ -46,9 +46,16 @@ fn cluster_for(cfg: &JobConfig, pipelined: bool) -> Cluster {
     )
 }
 
+/// Chunk payload a run moved between clients and the store, for the
+/// `host` footer's `sim_bytes`.
+fn store_bytes(cluster: &Cluster) -> u64 {
+    cluster.stats.get("store.bytes_to_clients") + cluster.stats.get("store.bytes_from_clients")
+}
+
 /// One rank streaming TRIAD with B and C on the store, 2 MiB (8-chunk)
-/// requests — the sequential multi-chunk span shape.
-fn stream_time(z: usize, pipelined: bool, elems: usize, iters: usize) -> f64 {
+/// requests — the sequential multi-chunk span shape. Returns the virtual
+/// seconds and the store bytes moved, as the other workloads do.
+fn stream_time(z: usize, pipelined: bool, elems: usize, iters: usize) -> (f64, u64) {
     let jcfg = JobConfig::remote(1, 1, z);
     let cluster = cluster_for(&jcfg, pipelined);
     let scfg = StreamConfig {
@@ -65,11 +72,11 @@ fn stream_time(z: usize, pipelined: bool, elems: usize, iters: usize) -> f64 {
         StreamKernel::Triad,
     );
     assert!(rep.verified, "STREAM data corrupted");
-    rep.time.as_secs_f64()
+    (rep.time.as_secs_f64(), store_bytes(&cluster))
 }
 
 /// One rank multiplying with B on the store, row- or column-major.
-fn mm_time(z: usize, pipelined: bool, n: usize, order: AccessOrder) -> f64 {
+fn mm_time(z: usize, pipelined: bool, n: usize, order: AccessOrder) -> (f64, u64) {
     let jcfg = JobConfig::remote(1, 1, z);
     let cluster = cluster_for(&jcfg, pipelined);
     let mm = MmConfig {
@@ -77,11 +84,11 @@ fn mm_time(z: usize, pipelined: bool, n: usize, order: AccessOrder) -> f64 {
         ..MmConfig::paper_2gb(n)
     };
     let rep = run_mm(&cluster, &jcfg, &mm).expect("MM configuration must fit in DRAM");
-    rep.stages.total().as_secs_f64()
+    (rep.stages.total().as_secs_f64(), store_bytes(&cluster))
 }
 
 /// Hybrid sort with 3/4 of the list on the store.
-fn sort_time(z: usize, pipelined: bool, total: usize) -> f64 {
+fn sort_time(z: usize, pipelined: bool, total: usize) -> (f64, u64) {
     let jcfg = JobConfig::remote(2, 1, z);
     let cluster = cluster_for(&jcfg, pipelined);
     let rep = run_sort_hybrid(
@@ -93,7 +100,7 @@ fn sort_time(z: usize, pipelined: bool, total: usize) -> f64 {
         },
     );
     assert!(rep.verified, "sort output not a sorted permutation");
-    rep.time.as_secs_f64()
+    (rep.time.as_secs_f64(), store_bytes(&cluster))
 }
 
 struct Row {
@@ -101,9 +108,24 @@ struct Row {
     width: usize,
     serial: f64,
     pipelined: f64,
+    /// Store bytes moved by both runs.
+    sim_bytes: u64,
 }
 
 impl Row {
+    /// Run `run` serial then pipelined.
+    fn measure(workload: &'static str, width: usize, run: impl Fn(bool) -> (f64, u64)) -> Self {
+        let (serial, serial_bytes) = run(false);
+        let (pipelined, pipelined_bytes) = run(true);
+        Row {
+            workload,
+            width,
+            serial,
+            pipelined,
+            sim_bytes: serial_bytes + pipelined_bytes,
+        }
+    }
+
     fn gain(&self) -> f64 {
         (self.serial - self.pipelined) / self.serial
     }
@@ -129,37 +151,25 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for &z in &WIDTHS {
-        rows.push(Row {
-            workload: "stream_triad",
-            width: z,
-            serial: stream_time(z, false, stream_elems, stream_iters),
-            pipelined: stream_time(z, true, stream_elems, stream_iters),
-        });
+        rows.push(Row::measure("stream_triad", z, |p| {
+            stream_time(z, p, stream_elems, stream_iters)
+        }));
     }
     if !smoke {
         for &z in &WIDTHS {
-            rows.push(Row {
-                workload: "mm_row_major",
-                width: z,
-                serial: mm_time(z, false, mm_n, AccessOrder::RowMajor),
-                pipelined: mm_time(z, true, mm_n, AccessOrder::RowMajor),
-            });
+            rows.push(Row::measure("mm_row_major", z, |p| {
+                mm_time(z, p, mm_n, AccessOrder::RowMajor)
+            }));
         }
         for &z in &WIDTHS {
-            rows.push(Row {
-                workload: "mm_col_major",
-                width: z,
-                serial: mm_time(z, false, mm_n, AccessOrder::ColMajor),
-                pipelined: mm_time(z, true, mm_n, AccessOrder::ColMajor),
-            });
+            rows.push(Row::measure("mm_col_major", z, |p| {
+                mm_time(z, p, mm_n, AccessOrder::ColMajor)
+            }));
         }
         for &z in &WIDTHS {
-            rows.push(Row {
-                workload: "qsort_hybrid",
-                width: z,
-                serial: sort_time(z, false, sort_total),
-                pipelined: sort_time(z, true, sort_total),
-            });
+            rows.push(Row::measure("qsort_hybrid", z, |p| {
+                sort_time(z, p, sort_total)
+            }));
         }
     }
 
@@ -190,7 +200,8 @@ fn main() {
         .config("stream_iters", stream_iters as u64)
         .config("mm_n", if smoke { 0 } else { mm_n })
         .config("sort_total", if smoke { 0 } else { sort_total })
-        .config("cache_bytes", 16u64 * 1024 * 1024);
+        .config("cache_bytes", 16u64 * 1024 * 1024)
+        .host_bytes(rows.iter().map(|r| r.sim_bytes).sum());
     // The serial-only sub-report: scripts/check.sh diffs this against a
     // committed expectation, pinning the default-path cost model.
     let mut serial = JsonReport::new("pipeline_overlap_serial");
@@ -286,7 +297,9 @@ fn traced_demo(report: &mut JsonReport) {
         StreamKernel::Triad,
     );
     assert!(rep.verified, "traced STREAM data corrupted");
-    report.config("traced_demo", format!("pipelined stream_triad z={z}"));
+    report
+        .config("traced_demo", format!("pipelined stream_triad z={z}"))
+        .host_bytes(store_bytes(&cluster));
 
     // Walk parent links: some single client read must decompose into
     // store fetches served by >= 2 distinct benefactors.

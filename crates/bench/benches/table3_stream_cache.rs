@@ -74,7 +74,8 @@ fn main() {
         bench::store_health(kernel.name(), &cluster);
         report
             .value(&format!("with_mb_s_{}", kernel.name()), with.bandwidth_mb_s)
-            .value(&format!("raw_mb_s_{}", kernel.name()), raw.bandwidth_mb_s);
+            .value(&format!("raw_mb_s_{}", kernel.name()), raw.bandwidth_mb_s)
+            .host_events(with.handoffs + raw.handoffs);
         last_cluster = Some(cluster);
     }
     println!();

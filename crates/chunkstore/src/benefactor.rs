@@ -7,6 +7,7 @@
 //! file reserves whole chunk slots here before any data moves.
 
 use crate::bitalloc::BitAlloc;
+use crate::buf::ChunkBuf;
 use crate::ids::ChunkId;
 use devices::Ssd;
 use simcore::rng::child_seed;
@@ -32,8 +33,10 @@ pub struct Benefactor {
     slots: BitAlloc,
     /// Slots reserved by fallocate but not yet materialized (LIFO).
     reserved: Vec<usize>,
-    /// Materialized chunks currently stored, each bound to its slot.
-    chunks: HashMap<ChunkId, (usize, Box<[u8]>)>,
+    /// Materialized chunks currently stored, each bound to its slot. The
+    /// bytes may be shared with client caches and other copies; every
+    /// mutation here goes through [`ChunkBuf::make_mut`].
+    chunks: HashMap<ChunkId, (usize, ChunkBuf)>,
     alive: bool,
     /// Excluded from placement by the scrub daemon (DESIGN.md §11):
     /// existing copies stay readable and repairable-from, but no new
@@ -118,11 +121,12 @@ impl Benefactor {
     /// Flip one stored byte of `id` (XOR 0xFF at `offset` mod chunk size).
     /// Returns false when the chunk is not present here. Data-only: no
     /// virtual time is charged — silent corruption is free by definition.
+    /// Only this copy rots: holders sharing its bytes keep theirs.
     pub fn corrupt_chunk(&mut self, id: ChunkId, offset: u64) -> bool {
         match self.chunks.get_mut(&id) {
             Some((_, data)) => {
                 let at = (offset % self.chunk_size) as usize;
-                data[at] ^= 0xFF;
+                data.make_mut()[at] ^= 0xFF;
                 true
             }
             None => false,
@@ -197,14 +201,16 @@ impl Benefactor {
 
     /// Materialize a chunk, charging the SSD for writing `payload_bytes`
     /// (which may be less than a full chunk when only dirty pages arrive).
+    /// The bytes are kept as given — shared, not copied, with the caller.
     pub(crate) fn store_chunk(
         &mut self,
         t: VTime,
         id: ChunkId,
-        mut data: Box<[u8]>,
+        data: impl Into<ChunkBuf>,
         payload_bytes: u64,
         consumes_reservation: bool,
     ) -> Grant {
+        let mut data = data.into();
         debug_assert_eq!(data.len() as u64, self.chunk_size);
         // A materialized chunk owns one slot bit: either the reservation's
         // (handed over here) or a freshly allocated one.
@@ -218,7 +224,7 @@ impl Benefactor {
             // never reaches the media, leaving the pre-image (zeros).
             self.torn_armed = false;
             let half = data.len() / 2;
-            data[half..].fill(0);
+            data.make_mut()[half..].fill(0);
         }
         let prev = self.chunks.insert(id, (slot, data));
         assert!(prev.is_none(), "chunk {id} stored twice");
@@ -236,6 +242,9 @@ impl Benefactor {
         let torn = self.torn_armed;
         self.torn_armed = false;
         let (_, chunk) = self.chunks.get_mut(&id).expect("update of missing chunk");
+        // Copies once if a cache or another copy still shares the bytes,
+        // so they keep their snapshot.
+        let chunk = chunk.make_mut();
         let mut bytes = 0u64;
         for (off, data) in updates {
             let off = *off as usize;
@@ -250,8 +259,9 @@ impl Benefactor {
         self.ssd.write_at(t, bytes)
     }
 
-    /// Read a whole chunk, charging the SSD.
-    pub(crate) fn read_chunk(&self, t: VTime, id: ChunkId) -> (Grant, Box<[u8]>) {
+    /// Read a whole chunk, charging the SSD. The returned bytes share
+    /// this copy's buffer: no host copy is made.
+    pub(crate) fn read_chunk(&self, t: VTime, id: ChunkId) -> (Grant, ChunkBuf) {
         let (_, data) = self.chunks.get(&id).expect("read of missing chunk");
         let data = data.clone();
         let g = self.ssd.read_at(t, self.chunk_size);
@@ -292,7 +302,8 @@ impl Benefactor {
     /// Duplicate a chunk's bytes into a new chunk id on this benefactor,
     /// charging a local SSD read + write (the server-side COW path used
     /// when a shared chunk is modified without the client holding all of
-    /// its clean bytes).
+    /// its clean bytes). Host-side the two ids share one buffer until
+    /// either is written.
     pub(crate) fn clone_chunk(&mut self, t: VTime, src: ChunkId, dst: ChunkId) -> Grant {
         let (_, data) = self.chunks.get(&src).expect("clone of missing chunk");
         let data = data.clone();
@@ -481,6 +492,63 @@ mod tests {
         let data = b.peek_chunk(ChunkId(1)).unwrap();
         assert_eq!(data[4095], 3, "first half of the run landed");
         assert_eq!(data[4096], 0, "second half kept the old bytes");
+    }
+
+    #[test]
+    fn read_and_clone_share_bytes_until_written() {
+        let mut b = bene(4);
+        b.reserve_slots(1);
+        let mut data = zero_chunk();
+        data[10] = 1;
+        b.store_chunk(VTime::ZERO, ChunkId(1), data, CHUNK, true);
+        let stored = b.peek_chunk(ChunkId(1)).unwrap().as_ptr();
+        let (_, read) = b.read_chunk(VTime::ZERO, ChunkId(1));
+        assert_eq!(read.as_ptr(), stored, "a read is a share, not a copy");
+        b.clone_chunk(VTime::ZERO, ChunkId(1), ChunkId(2));
+        assert_eq!(b.peek_chunk(ChunkId(2)).unwrap().as_ptr(), stored);
+        let page = vec![2u8; 4096];
+        b.update_chunk(VTime::ZERO, ChunkId(2), &[(0, &page)]);
+        assert_eq!(b.peek_chunk(ChunkId(2)).unwrap()[10], 2);
+        assert_eq!(b.peek_chunk(ChunkId(1)).unwrap()[10], 1, "source kept");
+        assert_eq!(read[10], 1, "reader kept its snapshot");
+    }
+
+    #[test]
+    fn faults_on_a_shared_copy_leave_other_holders_intact() {
+        // Bit rot on one id: its clone and an earlier reader keep theirs.
+        let mut b = bene(8);
+        b.reserve_slots(1);
+        b.store_chunk(VTime::ZERO, ChunkId(1), zero_chunk(), CHUNK, true);
+        b.clone_chunk(VTime::ZERO, ChunkId(1), ChunkId(2));
+        let (_, reader) = b.read_chunk(VTime::ZERO, ChunkId(1));
+        assert!(b.corrupt_chunk(ChunkId(1), 77));
+        assert_eq!(b.peek_chunk(ChunkId(1)).unwrap()[77], 0xFF);
+        assert!(b.peek_chunk(ChunkId(2)).unwrap().iter().all(|&x| x == 0));
+        assert!(reader.iter().all(|&x| x == 0));
+
+        // A torn materialization: the caller's buffer keeps its tail.
+        let whole = ChunkBuf::from(vec![7u8; CHUNK as usize]);
+        b.reserve_slots(1);
+        b.arm_torn_write();
+        b.store_chunk(VTime::ZERO, ChunkId(3), whole.clone(), CHUNK, true);
+        assert_eq!(b.peek_chunk(ChunkId(3)).unwrap()[CHUNK as usize - 1], 0);
+        assert!(whole.iter().all(|&x| x == 7), "sender's bytes untouched");
+
+        // A torn update of a chunk a reader still shares.
+        let (_, reader) = b.read_chunk(VTime::ZERO, ChunkId(2));
+        b.arm_torn_write();
+        let run = vec![4u8; 8192];
+        b.update_chunk(VTime::ZERO, ChunkId(2), &[(0, &run)]);
+        assert_eq!(b.peek_chunk(ChunkId(2)).unwrap()[0], 4);
+        assert!(reader.iter().all(|&x| x == 0));
+
+        // Rate-based rot on write: the shared source buffer stays clean.
+        b.set_corruption_rate(10_000, 5);
+        let clean = ChunkBuf::from(vec![0u8; CHUNK as usize]);
+        b.reserve_slots(1);
+        b.store_chunk(VTime::ZERO, ChunkId(4), clean.clone(), CHUNK, true);
+        assert!(b.peek_chunk(ChunkId(4)).unwrap().iter().any(|&x| x != 0));
+        assert!(clean.iter().all(|&x| x == 0));
     }
 
     #[test]

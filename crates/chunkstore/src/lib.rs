@@ -13,6 +13,8 @@
 //! * [`bitalloc`] — llfree-style bitmap-tree slot allocator backing the
 //!   benefactor/manager allocation path (DESIGN.md §13);
 //! * [`benefactor`] — the SSD-backed chunk server;
+//! * [`buf`] — refcounted chunk bytes shared between benefactors and
+//!   client caches, copied only on write (DESIGN.md §17);
 //! * [`manager`] — metadata: allocation, striping, health, linking;
 //! * [`store`] — the timed client-facing facade charging RPC, network and
 //!   SSD costs;
@@ -31,6 +33,7 @@
 
 pub mod benefactor;
 pub mod bitalloc;
+pub mod buf;
 pub mod crc;
 pub mod error;
 pub mod ids;
@@ -43,6 +46,7 @@ pub mod store;
 
 pub use benefactor::Benefactor;
 pub use bitalloc::{BitAlloc, BitSet};
+pub use buf::ChunkBuf;
 pub use crc::crc64;
 pub use error::{Result, StoreError};
 pub use ids::{BenefactorId, ChunkId, FileId};

@@ -7,6 +7,7 @@
 //! the aggregate store.
 
 use crate::benefactor::Benefactor;
+use crate::buf::ChunkBuf;
 use crate::crc::{self, crc64};
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, ChunkId, FileId};
@@ -159,15 +160,26 @@ pub enum ChunkPayload {
     /// The chunk was never written: the client materializes zeros locally
     /// (a file-hole read — no data crosses the network).
     Zeros,
-    /// Chunk bytes shipped from its benefactor.
-    Data(Box<[u8]>),
+    /// Chunk bytes shipped from its benefactor — shared with the stored
+    /// copy, so a clean fetch moves no host bytes (DESIGN.md §17).
+    Data(ChunkBuf),
+}
+
+impl ChunkPayload {
+    /// The chunk's bytes, zero-filling a hole to `chunk_size`.
+    pub fn into_buf(self, chunk_size: u64) -> ChunkBuf {
+        match self {
+            ChunkPayload::Zeros => ChunkBuf::from(vec![0u8; chunk_size as usize]),
+            ChunkPayload::Data(d) => d,
+        }
+    }
 }
 
 /// What `fetch_verified` hands back: the verified bytes plus the copy
 /// they came from, for span labelling and degraded accounting.
 struct FetchOutcome {
     end: VTime,
-    data: Box<[u8]>,
+    data: ChunkBuf,
     home: BenefactorId,
     node: usize,
     degraded: bool,
@@ -1567,7 +1579,7 @@ impl AggregateStore {
         };
 
         let mut end = t;
-        let mut reads: Vec<(usize, Box<[u8]>)> = Vec::with_capacity(k);
+        let mut reads: Vec<(usize, ChunkBuf)> = Vec::with_capacity(k);
         let mut zero_members: Vec<usize> = Vec::new();
         for s in &picks {
             match *s {
@@ -1605,11 +1617,11 @@ impl AggregateStore {
         }
         present.sort_unstable_by_key(|(member, _)| *member);
         let code = RsCode::new(k, m);
-        let data: Box<[u8]> = code
-            .reconstruct(&present, &[gref.member])
-            .pop()
-            .expect("one wanted member")
-            .into_boxed_slice();
+        let data = ChunkBuf::from(
+            code.reconstruct(&present, &[gref.member])
+                .pop()
+                .expect("one wanted member"),
+        );
         // The decode must land exactly on the recorded digest; anything
         // else means a survivor lied and the store refuses to serve it.
         if crc64(&data) != expected {
@@ -2241,11 +2253,11 @@ impl AggregateStore {
 
         let chunk_len = self.cfg.chunk_size;
         let compose = |updates: &[(u64, &[u8])]| {
-            let mut data = vec![0u8; chunk_len as usize].into_boxed_slice();
+            let mut data = vec![0u8; chunk_len as usize];
             for (off, d) in updates {
                 data[*off as usize..*off as usize + d.len()].copy_from_slice(d);
             }
-            data
+            ChunkBuf::from(data)
         };
 
         // Digest of a zero chunk with `updates` applied, without scanning
@@ -2348,7 +2360,8 @@ impl AggregateStore {
         let mut end = VTime::ZERO;
         match slot {
             Slot::Unmaterialized | Slot::Hole => {
-                // First write: compose zeros + updates on every live copy.
+                // First write: compose zeros + updates once; every live
+                // copy shares the composed bytes until one is written.
                 // Unmaterialized slots consume their fallocate reservation;
                 // hole writes allocate unreserved space (checked above).
                 let consumes_reservation = matches!(slot, Slot::Unmaterialized);
@@ -2486,7 +2499,7 @@ impl AggregateStore {
                     }
                     // First delta materializes the member: old content is
                     // zeros, so the delta is the content.
-                    let mut data = vec![0u8; chunk_len as usize].into_boxed_slice();
+                    let mut data = vec![0u8; chunk_len as usize];
                     let mut crc = crc::crc64_zeros(chunk_len);
                     for (off, d) in runs {
                         let at = *off as usize;
@@ -2953,12 +2966,12 @@ impl AggregateStore {
         t: VTime,
         gref: GroupRef,
         dest_node: usize,
-    ) -> Result<(VTime, Box<[u8]>, u64)> {
+    ) -> Result<(VTime, ChunkBuf, u64)> {
         let chunk_size = self.cfg.chunk_size;
         let (k, m, picks) = self.survivors_for(mgr, gref)?;
         let mut now = t;
         let mut bytes = 0u64;
-        let mut reads: Vec<(usize, Box<[u8]>)> = Vec::with_capacity(k);
+        let mut reads: Vec<(usize, ChunkBuf)> = Vec::with_capacity(k);
         let mut zero_members: Vec<usize> = Vec::new();
         for s in &picks {
             match *s {
@@ -2993,9 +3006,8 @@ impl AggregateStore {
         let content = RsCode::new(k, m)
             .reconstruct(&present, &[gref.member])
             .pop()
-            .expect("one wanted member")
-            .into_boxed_slice();
-        Ok((now, content, bytes))
+            .expect("one wanted member");
+        Ok((now, content.into(), bytes))
     }
 
     /// Sweep every erasure-coded file and rebuild group members the store
@@ -3751,6 +3763,104 @@ mod tests {
         assert!(matches!(err, StoreError::ChunkCorrupt { .. }));
     }
 
+    fn data_of(payload: ChunkPayload) -> ChunkBuf {
+        match payload {
+            ChunkPayload::Data(d) => d,
+            ChunkPayload::Zeros => panic!("expected data"),
+        }
+    }
+
+    #[test]
+    fn clean_fetch_shares_the_stored_copy() {
+        // The zero-copy pin: a clean fetch hands out the benefactor's own
+        // bytes, on the serial and the batched path alike. A per-fetch
+        // clone breaks this test.
+        let (store, _) = store();
+        let f = make_file(&store, "/m", 2 * CHUNK);
+        let page = vec![7u8; 4096];
+        let t = store
+            .write_pages(VTime::ZERO, 3, f, 0, &[(0, &page)])
+            .unwrap();
+        let c = chunk_of(&store, f, 0);
+        let home = store.manager().chunk_home(c).unwrap();
+        let stored = store
+            .manager()
+            .benefactor(home)
+            .peek_chunk(c)
+            .unwrap()
+            .as_ptr();
+        let (t, p) = store.fetch_chunk(t, 3, f, 0).unwrap();
+        let a = data_of(p);
+        assert_eq!(a.as_ptr(), stored);
+        let mut batch = store.fetch_chunks(t, 3, &[(f, 0)], None).unwrap();
+        let b = data_of(batch.pop().unwrap().1);
+        assert!(ChunkBuf::ptr_eq(&a, &b));
+
+        // A later write copies away from the shared bytes: the earlier
+        // fetch keeps its snapshot, the next fetch sees the new bytes.
+        let page2 = vec![8u8; 4096];
+        let t = store.write_pages(t, 3, f, 0, &[(0, &page2)]).unwrap();
+        assert_eq!(a[0], 7, "fetched bytes are a stable snapshot");
+        let (_, p) = store.fetch_chunk(t, 3, f, 0).unwrap();
+        let fresh = data_of(p);
+        assert_eq!(fresh[0], 8);
+        assert!(!ChunkBuf::ptr_eq(&a, &fresh));
+    }
+
+    #[test]
+    fn rot_on_a_shared_copy_never_leaks_to_replicas_readers_or_repairs() {
+        let (store, stats) = store_verify(3);
+        let client = 4;
+        let f = make_file_replicated(&store, client, "/m", CHUNK, 2);
+        let page = vec![6u8; 4096];
+        let t = store
+            .write_pages(VTime::ZERO, client, f, 0, &[(0, &page)])
+            .unwrap();
+        let c = chunk_of(&store, f, 0);
+        let homes = store.manager().chunk_homes(c).unwrap().to_vec();
+        let ptr = |h: BenefactorId| {
+            store
+                .manager()
+                .benefactor(h)
+                .peek_chunk(c)
+                .unwrap()
+                .as_ptr()
+        };
+        assert_eq!(ptr(homes[0]), ptr(homes[1]), "replicas share one buffer");
+        let (t, p) = store.fetch_chunk(t, client, f, 0).unwrap();
+        let reader = data_of(p);
+
+        // Seeded bit rot on the primary's benefactor.
+        store.attach_faults(
+            faults::FaultPlanBuilder::new(3)
+                .bit_rot(t + VTime::from_micros(1), homes[0].0, 10_000)
+                .build(),
+        );
+        store.poll_faults(t + VTime::from_micros(2));
+        assert_eq!(store.count_corrupt_copies(), 1, "only the primary rotted");
+        assert!(reader[..4096].iter().all(|&x| x == 6));
+        assert!(reader[4096..].iter().all(|&x| x == 0));
+
+        // Verified read: exactly one mismatch, then the replica's bytes.
+        let (t, p) = store
+            .fetch_chunk(t + VTime::from_micros(2), client, f, 0)
+            .unwrap();
+        assert_eq!(data_of(p)[..], reader[..]);
+        assert_eq!(stats.get("store.crc_mismatches"), 1);
+
+        // The repair copy shares the donor's bytes; rotting it leaves
+        // the donor intact.
+        let (_, report) = store.repair_under_replicated(t);
+        assert_eq!(report.chunks_repaired, 1);
+        let homes = store.manager().chunk_homes(c).unwrap().to_vec();
+        assert_eq!(homes.len(), 2);
+        assert_eq!(ptr(homes[0]), ptr(homes[1]), "repair shares, not copies");
+        store.manager().benefactor_mut(homes[1]).corrupt_chunk(c, 9);
+        assert_eq!(store.count_corrupt_copies(), 1);
+        let donor = store.manager().benefactor(homes[0]).peek_chunk(c).unwrap()[9];
+        assert_eq!(donor, 6);
+    }
+
     #[test]
     fn scrub_daemon_finds_and_repairs_bit_rot() {
         let (store, stats) = store_verify(3);
@@ -4291,7 +4401,7 @@ mod tests {
         assert_eq!(stats.get("store.parity_bytes"), 2 * CHUNK);
         // Reads are undegraded and roundtrip.
         let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
-        assert_eq!(payload, ChunkPayload::Data(a.clone().into_boxed_slice()));
+        assert_eq!(payload, ChunkPayload::Data(a.clone().into()));
     }
 
     #[test]
@@ -4317,7 +4427,7 @@ mod tests {
         let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
         let mut want = a;
         want[8192..8192 + 4096].copy_from_slice(&page);
-        assert_eq!(payload, ChunkPayload::Data(want.into_boxed_slice()));
+        assert_eq!(payload, ChunkPayload::Data(want.into()));
         assert_eq!(stats.get("store.degraded_reconstructs"), 1);
     }
 
@@ -4335,7 +4445,7 @@ mod tests {
         let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
         assert_eq!(
             payload,
-            ChunkPayload::Data(a.into_boxed_slice()),
+            ChunkPayload::Data(a.into()),
             "reconstructed bytes are exactly the lost member"
         );
         assert_eq!(stats.get("store.degraded_reconstructs"), 1);
@@ -4458,7 +4568,7 @@ mod tests {
         let (_, payload) = store
             .fetch_chunk(t + VTime::from_millis(2), client, f, 0)
             .unwrap();
-        assert_eq!(payload, ChunkPayload::Data(a.into_boxed_slice()));
+        assert_eq!(payload, ChunkPayload::Data(a.into()));
     }
 
     #[test]
@@ -4485,7 +4595,7 @@ mod tests {
         // And it reads back cleanly (no degraded path) with b0 still dead.
         let before = stats.get("store.degraded_reads");
         let (_, payload) = store.fetch_chunk(t2, client, f, 0).unwrap();
-        assert_eq!(payload, ChunkPayload::Data(a.into_boxed_slice()));
+        assert_eq!(payload, ChunkPayload::Data(a.into()));
         assert_eq!(stats.get("store.degraded_reads"), before);
     }
 
@@ -4544,7 +4654,7 @@ mod tests {
         // With parity healthy again the degraded read works once more.
         store.set_benefactor_alive(BenefactorId(0), false);
         let (_, payload) = store.fetch_chunk(t3, client, f, 0).unwrap();
-        assert_eq!(payload, ChunkPayload::Data(want_a.into_boxed_slice()));
+        assert_eq!(payload, ChunkPayload::Data(want_a.into()));
     }
 
     // ----- manager HA (DESIGN.md §16) ----------------------------------------
@@ -4663,7 +4773,7 @@ mod tests {
             t2 >= crash + store.cfg.failover_timeout,
             "takeover waits out the crash-detection window"
         );
-        assert_eq!(payload, ChunkPayload::Data(data.clone().into_boxed_slice()));
+        assert_eq!(payload, ChunkPayload::Data(data.clone().into()));
         assert_eq!(stats.get("store.mgr_failovers"), 1);
         assert_eq!(stats.get("store.journal_replays"), 1);
         assert!(
@@ -4673,7 +4783,7 @@ mod tests {
         assert!(store.manager().placement_epoch() > epoch_before);
         // Acked writes survived: both chunks read back post-takeover.
         let (_, p1) = store.fetch_chunk(t2, 3, f, 1).unwrap();
-        assert_eq!(p1, ChunkPayload::Data(data.into_boxed_slice()));
+        assert_eq!(p1, ChunkPayload::Data(data.into()));
     }
 
     #[test]
@@ -4712,7 +4822,7 @@ mod tests {
         // Every acked write reads back across the outage…
         for idx in 0..4 {
             let (_, p) = store.fetch_chunk(crash, 3, f, idx).unwrap();
-            assert_eq!(p, ChunkPayload::Data(data.clone().into_boxed_slice()));
+            assert_eq!(p, ChunkPayload::Data(data.clone().into()));
         }
         // …and a namespace op (always rank 0, the root shard) guarantees
         // the crashed rank was probed even if slot hashing dodged it.

@@ -22,14 +22,16 @@
 //! [`ChunkCache::clear_dirty`].
 
 use crate::dirty::DirtyPages;
-use chunkstore::FileId;
+use chunkstore::{ChunkBuf, FileId};
 use simcore::VTime;
 use std::collections::{BTreeSet, HashMap};
 
 /// One cached chunk.
 #[derive(Debug)]
 pub struct CacheEntry {
-    pub data: Box<[u8]>,
+    /// The chunk's bytes, shared with the benefactor copy they were
+    /// fetched from until the first write (`ChunkBuf::make_mut`) copies.
+    pub data: ChunkBuf,
     pub dirty: DirtyPages,
     /// LRU tick of the last touch.
     pub last_use: u64,
@@ -216,8 +218,9 @@ impl ChunkCache {
 
     /// Insert a chunk; the caller must have made room first. New entries
     /// start clean and (in segmented mode) on probation.
-    pub fn insert(&mut self, key: ChunkKey, data: Box<[u8]>, ready_at: VTime) {
+    pub fn insert(&mut self, key: ChunkKey, data: impl Into<ChunkBuf>, ready_at: VTime) {
         assert!(!self.is_full(), "insert into a full cache");
+        let data = data.into();
         self.tick += 1;
         let prev = self.entries.insert(
             key,

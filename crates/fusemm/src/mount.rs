@@ -19,8 +19,8 @@
 
 use crate::cache::{CacheEntry, ChunkCache, ChunkKey};
 use chunkstore::{
-    AggregateStore, BatchWrite, ChunkPayload, FileId, LocationCache, PlacementPolicy, Result,
-    StoreError, StripeSpec,
+    AggregateStore, BatchWrite, FileId, LocationCache, PlacementPolicy, Result, StoreError,
+    StripeSpec,
 };
 use obs::{Layer, TraceRecorder};
 use parking_lot::Mutex;
@@ -540,7 +540,9 @@ impl Mount {
             {
                 let mut st = self.state.lock();
                 let entry = st.cache.peek_mut(&(file, idx)).expect("just ensured");
-                entry.data[within as usize..within as usize + take]
+                // The first write to a fetched chunk copies it away from
+                // the benefactor's bytes; later writes land in place.
+                entry.data.make_mut()[within as usize..within as usize + take]
                     .copy_from_slice(&data[pos..pos + take]);
                 t = self.note_write(&mut st, t, (file, idx), within, within + take as u64)?;
             }
@@ -728,6 +730,22 @@ impl Mount {
         self.state.lock().cache.dirty_chunks()
     }
 
+    /// Run `f` over the cached bytes of `(file, idx)` without touching
+    /// LRU order or the buffer's refcount (test probe).
+    #[cfg(test)]
+    pub(crate) fn with_cached<R>(
+        &self,
+        file: FileId,
+        idx: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Option<R> {
+        self.state
+            .lock()
+            .cache
+            .peek(&(file, idx))
+            .map(|e| f(&e.data))
+    }
+
     /// One background flusher batch, issued at `start`: take the oldest
     /// dirty chunks (enough to drain back to the background threshold, at
     /// least one), coalesce them into a single batched store write — one
@@ -888,10 +906,7 @@ impl Mount {
         t = self.make_room(t)?;
         let (t2, payload) = self.store.fetch_chunk(t, self.node, file, idx)?;
         sp.finish(t2);
-        let data = match payload {
-            ChunkPayload::Zeros => vec![0u8; self.chunk_size() as usize].into_boxed_slice(),
-            ChunkPayload::Data(d) => d,
-        };
+        let data = payload.into_buf(self.chunk_size());
         let mut st = self.state.lock();
         st.cache.insert((file, idx), data, t2);
         Ok(t2)
@@ -1002,12 +1017,8 @@ impl Mount {
             let mut done = t;
             let mut st = self.state.lock();
             for ((ready, payload), &idx) in results.into_iter().zip(missing) {
-                let data = match payload {
-                    ChunkPayload::Zeros => vec![0u8; cs as usize].into_boxed_slice(),
-                    ChunkPayload::Data(d) => d,
-                };
                 done = done.max(ready);
-                st.cache.insert((file, idx), data, ready);
+                st.cache.insert((file, idx), payload.into_buf(cs), ready);
             }
             drop(st);
             sp.finish(done);
@@ -1040,12 +1051,8 @@ impl Mount {
             let (ready, payload) = self.store.fetch_chunk(t, self.node, file, idx)?;
             sp.finish(ready);
             self.readahead_fetches.inc();
-            let data = match payload {
-                ChunkPayload::Zeros => vec![0u8; cs as usize].into_boxed_slice(),
-                ChunkPayload::Data(d) => d,
-            };
             let mut st = self.state.lock();
-            st.cache.insert((file, idx), data, ready);
+            st.cache.insert((file, idx), payload.into_buf(cs), ready);
         }
         Ok(())
     }
@@ -1093,7 +1100,7 @@ impl Mount {
                                 .copy_from_slice(&entry.data[s.within..s.within + s.take]);
                         }
                         SpanIo::Write(data) => {
-                            entry.data[s.within..s.within + s.take]
+                            entry.data.make_mut()[s.within..s.within + s.take]
                                 .copy_from_slice(&data[s.pos..s.pos + s.take]);
                             t = self.note_write(
                                 &mut st,
@@ -1145,11 +1152,8 @@ impl Mount {
             .fetch_chunks(t, self.node, &targets, Some(&self.loc_cache))?;
         let mut st = self.state.lock();
         for ((ready_at, payload), &idx) in results.into_iter().zip(&missing) {
-            let data = match payload {
-                ChunkPayload::Zeros => vec![0u8; self.chunk_size() as usize].into_boxed_slice(),
-                ChunkPayload::Data(d) => d,
-            };
-            st.cache.insert((file, idx), data, ready_at);
+            st.cache
+                .insert((file, idx), payload.into_buf(self.chunk_size()), ready_at);
             ready = ready.max(ready_at);
         }
         drop(st);

@@ -2,7 +2,8 @@
 
 use crate::mount::{FuseConfig, Mount};
 use chunkstore::{
-    AggregateStore, Benefactor, FileId, PlacementPolicy, StoreConfig, StoreError, StripeSpec,
+    AggregateStore, Benefactor, BenefactorId, ChunkId, FileId, PlacementPolicy, Slot, StoreConfig,
+    StoreError, StripeSpec,
 };
 use devices::{Ssd, INTEL_X25E};
 use netsim::{NetConfig, Network};
@@ -352,4 +353,132 @@ fn local_benefactor_faster_than_remote() {
         t_remote > t_local,
         "remote {t_remote} should exceed local {t_local}"
     );
+}
+
+/// Chunk `idx` of `f` as stored: its chunk id and primary home.
+fn stored_chunk(m: &Mount, f: FileId, idx: usize) -> (ChunkId, BenefactorId) {
+    let mgr = m.store().manager();
+    let Slot::Chunk(c) = mgr.file(f).unwrap().slots[idx] else {
+        panic!("slot {idx} not materialized");
+    };
+    (c, mgr.chunk_home(c).unwrap())
+}
+
+/// The benefactor's stored bytes of `c` on `home`: address and content.
+fn benefactor_bytes(m: &Mount, c: ChunkId, home: BenefactorId) -> (*const u8, Vec<u8>) {
+    let mgr = m.store().manager();
+    let bytes = mgr.benefactor(home).peek_chunk(c).unwrap();
+    (bytes.as_ptr(), bytes.to_vec())
+}
+
+fn pattern(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i % 251) as u8).collect()
+}
+
+#[test]
+fn clean_read_shares_benefactor_bytes_until_the_first_write() {
+    for pipelined_io in [false, true] {
+        let (m, _) = world(FuseConfig {
+            pipelined_io,
+            ..small_cache()
+        });
+        let f = mk_file(&m, "/v", 2 * CHUNK);
+        let data = pattern(CHUNK as usize);
+        // Store the chunk behind the cache's back so the read misses.
+        let t = m.store().write_span(VTime::ZERO, 2, f, 0, &data).unwrap();
+        let mut out = vec![0u8; 64];
+        let t = m.read(t, f, 0, &mut out).unwrap();
+        let (c, home) = stored_chunk(&m, f, 0);
+        let (stored_ptr, _) = benefactor_bytes(&m, c, home);
+        assert_eq!(
+            m.with_cached(f, 0, |d| d.as_ptr()),
+            Some(stored_ptr),
+            "a clean fetch shares the benefactor's bytes (pipelined={pipelined_io})"
+        );
+
+        // A write lands in the cache's own copy; the benefactor keeps the
+        // old bytes until the flush ships the dirty page.
+        let t = m.write(t, f, 100, &[0xAB]).unwrap();
+        let (ptr, before_flush) = benefactor_bytes(&m, c, home);
+        assert_eq!(before_flush, data, "benefactor unchanged until flush");
+        assert_ne!(m.with_cached(f, 0, |d| d.as_ptr()), Some(ptr));
+        assert_eq!(m.with_cached(f, 0, |d| d[100]), Some(0xAB));
+        m.flush_file(t, f).unwrap();
+        let (_, after_flush) = benefactor_bytes(&m, c, home);
+        assert_eq!(Some(after_flush), m.with_cached(f, 0, |d| d.to_vec()));
+    }
+}
+
+/// `world` with read verification on.
+fn world_verified(cfg: FuseConfig) -> (Mount, StatsRegistry) {
+    let stats = StatsRegistry::new();
+    let net = Network::new(3, NetConfig::default(), &stats);
+    let scfg = StoreConfig {
+        verify_reads: true,
+        ..StoreConfig::default()
+    };
+    let store = AggregateStore::new(scfg, net, &stats);
+    for node in [0usize, 1] {
+        let ssd = Ssd::new(&format!("b{node}.ssd"), INTEL_X25E, &stats);
+        store.add_benefactor(Benefactor::new(node, ssd, mib(256), CHUNK));
+    }
+    (Mount::new(store, 2, cfg, &stats), stats)
+}
+
+#[test]
+fn benefactor_rot_and_torn_writes_never_reach_a_cached_share() {
+    for torn in [false, true] {
+        let (m, stats) = world_verified(small_cache());
+        let f = mk_file(&m, "/v", 2 * CHUNK);
+        let data = pattern(CHUNK as usize);
+        let t = m.store().write_span(VTime::ZERO, 2, f, 0, &data).unwrap();
+        let mut out = vec![0u8; 64];
+        let t = m.read(t, f, 0, &mut out).unwrap();
+        let (c, home) = stored_chunk(&m, f, 0);
+        assert_eq!(
+            m.with_cached(f, 0, |d| d.as_ptr()),
+            Some(benefactor_bytes(&m, c, home).0)
+        );
+
+        // Damage the benefactor's copy while the cache shares it: seeded
+        // bit rot, or a torn write from another client.
+        let at = t + VTime::from_micros(1);
+        let plan = faults::FaultPlanBuilder::new(17);
+        let plan = if torn {
+            plan.torn_write(at, home.0)
+        } else {
+            plan.bit_rot(at, home.0, 10_000)
+        };
+        m.store().attach_faults(plan.build());
+        let t = at + VTime::from_micros(1);
+        let t = if torn {
+            let run = vec![0xEEu8; 8192];
+            m.store().write_pages(t, 2, f, 0, &[(0, &run)]).unwrap()
+        } else {
+            m.store().poll_faults(t);
+            t
+        };
+        assert_eq!(m.store().count_corrupt_copies(), 1);
+
+        // The cached share still holds the bytes it fetched, and a hit
+        // serves them without re-verifying.
+        assert_eq!(m.with_cached(f, 0, |d| d.to_vec()), Some(data.clone()));
+        let mut hit = vec![0u8; CHUNK as usize];
+        let t = m.read(t, f, 0, &mut hit).unwrap();
+        assert_eq!(hit, data);
+        assert_eq!(stats.get("store.crc_mismatches"), 0);
+
+        // A cold mount meets the damaged sole copy: a typed error, one
+        // mismatch, never wrong bytes.
+        let cold = Mount::new(m.store().clone(), 2, small_cache(), &stats);
+        let err = cold.read(t, f, 0, &mut hit).unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::ChunkCorrupt {
+                chunk: c,
+                benefactor: home
+            }
+        );
+        assert_eq!(stats.get("store.crc_mismatches"), 1);
+    }
 }

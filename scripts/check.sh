@@ -49,6 +49,14 @@ BENCH_JSON_DIR="$smoke_dir" cargo bench -q -p bench --bench pipeline_overlap -- 
 diff -u crates/bench/expected/BENCH_pipeline_overlap_serial.json \
     <(strip_host "$smoke_dir/BENCH_pipeline_overlap_serial.json")
 
+echo "==> pipeline_overlap host footer must count the simulated bytes it moved"
+overlap_bytes="$(awk -F': ' '/"sim_bytes"/ { gsub(/,/, "", $2); print $2; exit }' \
+    "$smoke_dir/BENCH_pipeline_overlap.json")"
+if [ -z "$overlap_bytes" ] || [ "$overlap_bytes" -eq 0 ]; then
+    echo "FAIL: BENCH_pipeline_overlap.json host footer reports sim_bytes ${overlap_bytes:-?}"
+    exit 1
+fi
+
 echo "==> exported trace must satisfy the Chrome trace-event schema (with causal flows + counter tracks)"
 cargo run -q --release --example validate_trace -- --require-flows --require-counters \
     "$smoke_dir/trace_smoke.json"
