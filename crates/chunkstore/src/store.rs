@@ -311,12 +311,12 @@ pub struct RepairReport {
     pub chunks_unrepairable: u64,
 }
 
-/// Reusable per-benefactor chain-grouping scratch for the batched
-/// fetch/write drains. Flat Vecs keyed by benefactor index, recycled
-/// across calls (taken from and returned to the store's mutex), so
-/// steady-state batch planning allocates nothing — the previous code
-/// built a fresh `BTreeMap` of `Vec`s per call and popped entries with
-/// `remove(0)`.
+/// Reusable per-benefactor chain-grouping scratch for
+/// [`AggregateStore::run_chains`], the one fetch/write drain. Flat Vecs
+/// keyed by benefactor index, recycled across calls (taken from and
+/// returned to the store's mutex), so steady-state batch planning
+/// allocates nothing — the previous code built a fresh `BTreeMap` of
+/// `Vec`s per call and popped entries with `remove(0)`.
 #[derive(Debug, Default)]
 struct ChainScratch {
     /// Per-benefactor chain cursor (completion of its last entry).
@@ -384,7 +384,7 @@ impl ChainScratch {
 #[derive(Clone)]
 pub struct AggregateStore {
     mgr: Arc<Mutex<Manager>>,
-    /// Recycled grouping scratch for `fetch_chunks`/`write_pages_batch`.
+    /// Recycled grouping scratch for `run_chains`.
     chain_scratch: Arc<Mutex<ChainScratch>>,
     net: Network,
     cfg: StoreConfig,
@@ -1186,20 +1186,91 @@ impl AggregateStore {
         }
     }
 
-    /// Metadata round-trip resolving slot `(file, idx)`: routed to the
-    /// ring owner in shard mode, the serial manager otherwise.
-    fn slot_rpc(
+    /// Ring owner of each slot in shard mode; empty with the serial
+    /// manager. Pure local computation — routing costs no RPC.
+    fn slot_owners(&self, slots: impl Iterator<Item = (FileId, usize)>) -> Vec<usize> {
+        self.shards.lock().as_ref().map_or_else(Vec::new, |ss| {
+            slots.map(|(f, i)| ss.ring().owner_of_slot(f, i)).collect()
+        })
+    }
+
+    /// The resolution round trip(s) for a set of slot entries, issued at
+    /// `t`. `need` says, per entry, whether it must consult the manager;
+    /// `owners` is [`Self::slot_owners`] of the entries. The serial
+    /// manager takes one RPC when any entry needs it. In shard mode each
+    /// owning shard of a needy entry takes one, all issued concurrently
+    /// from `t` (they queue on *different* shard CPUs, which is the whole
+    /// point). Returns when each entry may proceed: the reply of its
+    /// manager or shard, or `t` when that was never consulted.
+    fn resolve_rpcs(
         &self,
         t: VTime,
         client_node: usize,
-        file: FileId,
-        idx: usize,
+        owners: &[usize],
+        mut need: impl ExactSizeIterator<Item = bool>,
         op: MgrOp,
-    ) -> Result<VTime> {
-        match self.shard_of_slot(file, idx) {
-            Some(shard) => self.shard_rpc(t, client_node, shard, op),
-            None => self.mgr_rpc(t, client_node, op),
+    ) -> Result<Vec<VTime>> {
+        if owners.is_empty() {
+            let n = need.len();
+            let t0 = if need.any(|needed| needed) {
+                self.mgr_rpc(t, client_node, op)?
+            } else {
+                t
+            };
+            return Ok(vec![t0; n]);
         }
+        let mut contacted: BTreeMap<usize, VTime> = BTreeMap::new();
+        for (&owner, needed) in owners.iter().zip(need) {
+            if needed {
+                contacted.insert(owner, t);
+            }
+        }
+        for (&shard, end) in contacted.iter_mut() {
+            *end = self.shard_rpc(t, client_node, shard, op)?;
+        }
+        Ok(owners
+            .iter()
+            .map(|o| contacted.get(o).copied().unwrap_or(t))
+            .collect())
+    }
+
+    /// Drain entries as per-benefactor chains (DESIGN.md §8). `times[i]`
+    /// comes in as entry `i`'s ready time and leaves as its completion.
+    /// Entries keyed to the same benefactor run serially in input order,
+    /// each starting at `max(previous end, ready)`; chains on distinct
+    /// benefactors start independently and are drained min-cursor first
+    /// (ties to the lowest benefactor id), so shared FIFO resources see
+    /// non-decreasing request times. Unkeyed entries run afterwards in
+    /// input order, each from its own ready time. `run(i, start)` performs
+    /// entry `i` and returns its completion.
+    fn run_chains(
+        &self,
+        key: impl Fn(usize) -> Option<BenefactorId>,
+        times: &mut [VTime],
+        fleet: usize,
+        mut run: impl FnMut(usize, VTime) -> Result<VTime>,
+    ) -> Result<()> {
+        let mut scratch = std::mem::take(&mut *self.chain_scratch.lock());
+        scratch.begin(fleet);
+        for i in 0..times.len() {
+            if let Some(home) = key(i) {
+                scratch.push(home, i);
+            }
+        }
+        // The drain reads an entry's ready time only while it is queued,
+        // so overwriting it with the completion once popped is safe.
+        while let Some((home, i, start)) = scratch.pop_min(times) {
+            let end = run(i, start)?;
+            scratch.set_cursor(home, end);
+            times[i] = end;
+        }
+        *self.chain_scratch.lock() = scratch;
+        for (i, at) in times.iter_mut().enumerate() {
+            if key(i).is_none() {
+                *at = run(i, *at)?;
+            }
+        }
+        Ok(())
     }
 
     // ----- control plane ---------------------------------------------------
@@ -1279,13 +1350,16 @@ impl AggregateStore {
     /// benefactor, then the client pulls the chunk directly from that
     /// benefactor — request message, SSD read, data transfer back.
     ///
-    /// With replication, the replica list is scanned in order and the
-    /// read fails over to the first copy that is alive and reachable
-    /// (counted in `store.failovers` / `store.degraded_reads`). When no
-    /// copy is serviceable the read backs off `retry_backoff` of virtual
-    /// time, re-polls the fault plan (a scheduled recovery may land in
-    /// between) and retries up to `fetch_retries` times before failing
-    /// with [`StoreError::BenefactorDown`] for the primary copy.
+    /// This is a one-target [`Self::fetch_chunks`] without a location
+    /// cache and without the batch counter and span: one code path
+    /// resolves, fails over and retries for both. With replication, the
+    /// replica list is scanned in order and the read fails over to the
+    /// first copy that is alive and reachable (counted in
+    /// `store.failovers` / `store.degraded_reads`). When no copy is
+    /// serviceable the read backs off `retry_backoff` of virtual time,
+    /// re-polls the fault plan (a scheduled recovery may land in between)
+    /// and retries up to `fetch_retries` times before failing with
+    /// [`StoreError::BenefactorDown`] for the primary copy.
     pub fn fetch_chunk(
         &self,
         t: VTime,
@@ -1294,51 +1368,13 @@ impl AggregateStore {
         idx: usize,
     ) -> Result<(VTime, ChunkPayload)> {
         self.poll_faults(t);
-        let sp = self.trace.span(Layer::Store, "store.chunk_fetch", t);
-        sp.arg("file", file.0).arg("idx", idx as u64);
-        let t = self.slot_rpc(t, client_node, file, idx, MgrOp::Fetch)?;
-        self.chunk_fetches.inc();
-        let chunk = {
-            let mgr = self.mgr.lock();
-            let meta = mgr.file(file)?;
-            if idx >= meta.slots.len() {
-                return Err(StoreError::OutOfBounds {
-                    file,
-                    offset: idx as u64 * self.cfg.chunk_size,
-                    len: self.cfg.chunk_size,
-                    size: meta.size,
-                });
-            }
-            match meta.slots[idx] {
-                Slot::Unmaterialized | Slot::Hole => None,
-                Slot::Chunk(c) => Some(c),
-            }
-        };
-
-        let c = match chunk {
-            None => {
-                // Hole: the manager's reply says "no data"; zeros are
-                // materialized client-side for free.
-                self.zero_fills.inc();
-                sp.finish(t);
-                return Ok((t, ChunkPayload::Zeros));
-            }
-            Some(c) => c,
-        };
-
-        let out = self.fetch_verified(t, client_node, c, false)?;
-        sp.arg("benefactor", out.home.0 as u64)
-            .arg("node", out.node as u64);
-        if out.degraded {
-            sp.arg("degraded", 1);
-        }
-        sp.finish(out.end);
-        Ok((out.end, ChunkPayload::Data(out.data)))
+        let mut out = self.fetch_targets(t, client_node, &[(file, idx)], None)?;
+        Ok(out.pop().expect("one result per target"))
     }
 
-    /// The replica-scan / failover / backoff retry loop shared by the
-    /// serial and batched fetch paths. `t` is when the caller is ready to
-    /// issue the first benefactor request (post-resolution).
+    /// The replica-scan / failover / backoff retry loop every chunk fetch
+    /// runs. `t` is when the caller is ready to issue the first
+    /// benefactor request (post-resolution).
     ///
     /// Every attempt rescans the replica list: writes may have re-homed
     /// the chunk and recoveries may have revived a copy. With
@@ -1353,8 +1389,8 @@ impl AggregateStore {
     /// [`StoreError::BenefactorDown`] otherwise. With verification off,
     /// timing and counters are identical to the pre-integrity retry loop.
     ///
-    /// `degraded` marks a read the caller already knows is degraded (the
-    /// batched path's non-primary picks) so `store.failovers` /
+    /// `degraded` marks a read the caller already knows is degraded (a
+    /// planned non-primary pick) so `store.failovers` /
     /// `store.degraded_reads` count it even at rank 0.
     fn fetch_verified(
         &self,
@@ -1662,12 +1698,12 @@ impl AggregateStore {
     /// `Resource` registers. Per-chunk completion is its own response
     /// arrival, returned in input order.
     ///
-    /// Fault semantics match the serial path per entry: every entry runs
-    /// the same failover/verify/backoff retry loop (`fetch_verified`) the
-    /// serial path uses. A degraded pick counts a failover; a target with
-    /// *no* serviceable copy at batch time runs the loop unchained from
-    /// the shared resolution time, independently of its batch-mates, and
-    /// completes at exactly the time the serial fetch would.
+    /// Fault semantics are per entry: every entry runs the
+    /// failover/verify/backoff retry loop (`fetch_verified`). A degraded
+    /// pick counts a failover; a target with *no* serviceable copy at
+    /// batch time runs the loop unchained from the shared resolution
+    /// time, independently of its batch-mates, and completes at exactly
+    /// the time [`Self::fetch_chunk`] would.
     pub fn fetch_chunks(
         &self,
         t: VTime,
@@ -1683,6 +1719,36 @@ impl AggregateStore {
         let sp = self.trace.span(Layer::Store, "store.fetch_batch", t);
         sp.arg("targets", targets.len() as u64)
             .arg("client", client_node as u64);
+        let out = self.fetch_targets(t, client_node, targets, cache)?;
+        // The batch completes when its slowest entry does.
+        sp.finish(out.iter().map(|&(end, _)| end).max().unwrap_or(t));
+        Ok(out)
+    }
+
+    /// The body of [`Self::fetch_chunks`] and [`Self::fetch_chunk`]:
+    /// resolve `targets` (non-empty) at `t`, then drain them as
+    /// per-benefactor chains.
+    fn fetch_targets(
+        &self,
+        t: VTime,
+        client_node: usize,
+        targets: &[(FileId, usize)],
+        cache: Option<&LocationCache>,
+    ) -> Result<Vec<(VTime, ChunkPayload)>> {
+        /// One target's resolution and plan: where the chunk lives (a hole
+        /// resolves to zeros) and the first serviceable copy to chain on —
+        /// none for a hole, or when no listed copy is serviceable right
+        /// now, so the retry loop runs unchained.
+        struct Entry {
+            loc: Option<CachedLoc>,
+            home: Option<BenefactorId>,
+            degraded: bool,
+        }
+        let entry = |loc| Entry {
+            loc,
+            home: None,
+            degraded: false,
+        };
 
         // Resolve from the location cache where the epoch allows. In
         // shard mode a cached entry may only be used while the client
@@ -1690,217 +1756,119 @@ impl AggregateStore {
         // (DESIGN.md §12) — an unleased target is forced to the shard
         // even when cached. With one shard and a held lease the gate
         // never fires, so counters stay identical to the serial manager.
-        let shard_mode = self.shards_installed() > 0;
-        let owners: Vec<usize> = if shard_mode {
-            let shards = self.shards.lock();
-            let ss = shards.as_ref().expect("shard set installed");
-            targets
-                .iter()
-                .map(|&(f, i)| ss.ring().owner_of_slot(f, i))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut resolved: Vec<Option<CachedLoc>> = {
-            let epoch = self.mgr.lock().placement_epoch();
-            if !shard_mode {
-                targets
-                    .iter()
-                    .map(|&key| cache.and_then(|c| c.lookup(epoch, key)))
-                    .collect()
-            } else {
+        let owners = self.slot_owners(targets.iter().copied());
+        let mut entries: Vec<Entry> = match cache {
+            None => targets.iter().map(|_| entry(None)).collect(),
+            Some(cache) => {
+                let epoch = self.mgr.lock().placement_epoch();
                 let mut shards = self.shards.lock();
-                let ss = shards.as_mut().expect("shard set installed");
-                targets
-                    .iter()
-                    .zip(&owners)
-                    .map(|(&key, &owner)| match cache {
-                        Some(c) if ss.check_lease(owner, client_node, t) => c.lookup(epoch, key),
-                        Some(c) => {
-                            c.note_unleased_miss(epoch, key);
-                            None
-                        }
-                        None => None,
-                    })
-                    .collect()
+                match shards.as_mut() {
+                    None => targets
+                        .iter()
+                        .map(|&key| entry(cache.lookup(epoch, key)))
+                        .collect(),
+                    Some(ss) => targets
+                        .iter()
+                        .zip(&owners)
+                        .map(|(&key, &owner)| {
+                            if ss.check_lease(owner, client_node, t) {
+                                entry(cache.lookup(epoch, key))
+                            } else {
+                                cache.note_unleased_miss(epoch, key);
+                                entry(None)
+                            }
+                        })
+                        .collect(),
+                }
             }
         };
 
-        // One shared RPC covers every unresolved target — per owning
-        // shard in shard mode, each issued concurrently from `t` (they
-        // queue on *different* shard CPUs, which is the whole point).
-        // Entry `i` may start its benefactor chain at `ready[i]`: its
-        // owner's response arrival, or `t` when its shard was never
-        // consulted (a leased cache hit). A fully cached batch skips
-        // every manager round-trip.
-        let any_miss = resolved.iter().any(|r| r.is_none());
-        let ready: Vec<VTime> = if !shard_mode {
-            let t0 = if any_miss {
-                self.mgr_rpc(t, client_node, MgrOp::Fetch)?
-            } else {
-                t
-            };
-            vec![t0; targets.len()]
-        } else {
-            let mut contacted: BTreeMap<usize, VTime> = BTreeMap::new();
-            for (i, r) in resolved.iter().enumerate() {
-                if r.is_none() {
-                    contacted.entry(owners[i]).or_insert(VTime::ZERO);
-                }
-            }
-            for (&shard, end) in contacted.iter_mut() {
-                *end = self.shard_rpc(t, client_node, shard, MgrOp::Fetch)?;
-            }
-            (0..targets.len())
-                .map(|i| contacted.get(&owners[i]).copied().unwrap_or(t))
-                .collect()
-        };
-        if any_miss {
+        // One shared RPC covers every unresolved target (one per owning
+        // shard in shard mode); a fully cached batch skips every manager
+        // round trip. Entry `i` may start its benefactor chain at
+        // `times[i]`.
+        let need = entries.iter().map(|e| e.loc.is_none());
+        let mut times = self.resolve_rpcs(t, client_node, &owners, need, MgrOp::Fetch)?;
+
+        // Resolve the rest against the manager (refreshing the cache) and
+        // plan every entry.
+        let fleet = {
             let mgr = self.mgr.lock();
             let epoch = mgr.placement_epoch();
-            for (i, &(file, idx)) in targets.iter().enumerate() {
-                if resolved[i].is_some() {
-                    continue;
-                }
-                let meta = mgr.file(file)?;
-                if idx >= meta.slots.len() {
-                    return Err(StoreError::OutOfBounds {
-                        file,
-                        offset: idx as u64 * self.cfg.chunk_size,
-                        len: self.cfg.chunk_size,
-                        size: meta.size,
-                    });
-                }
-                let loc = match meta.slots[idx] {
-                    Slot::Unmaterialized | Slot::Hole => CachedLoc::Zeros,
-                    Slot::Chunk(c) => CachedLoc::Chunk {
-                        chunk: c,
-                        homes: mgr
-                            .chunk_homes(c)
-                            .expect("chunk without home")
-                            .iter()
-                            .map(|&h| (h, mgr.benefactor(h).node))
-                            .collect(),
-                    },
-                };
-                if let Some(cache) = cache {
-                    cache.insert(epoch, (file, idx), loc.clone());
-                }
-                resolved[i] = Some(loc);
-            }
-        }
-
-        // Plan each target: zeros, a benefactor chain, or the unchained
-        // retry loop when no listed copy is serviceable right now.
-        enum Plan {
-            Zeros,
-            Chain {
-                home: BenefactorId,
-                chunk: ChunkId,
-                degraded: bool,
-            },
-            Fallback {
-                chunk: ChunkId,
-            },
-        }
-        let (plan, fleet): (Vec<Plan>, usize) = {
-            let mgr = self.mgr.lock();
-            let plan = resolved
-                .iter()
-                .map(|loc| match loc.as_ref().expect("all targets resolved") {
-                    CachedLoc::Zeros => Plan::Zeros,
-                    CachedLoc::Chunk { chunk, homes } => {
-                        let pick = homes.iter().enumerate().find(|(_, &(h, node))| {
-                            mgr.benefactor(h).is_alive() && self.net.reachable(node, client_node)
+            for (&(file, idx), e) in targets.iter().zip(&mut entries) {
+                if e.loc.is_none() {
+                    let meta = mgr.file(file)?;
+                    if idx >= meta.slots.len() {
+                        return Err(StoreError::OutOfBounds {
+                            file,
+                            offset: idx as u64 * self.cfg.chunk_size,
+                            len: self.cfg.chunk_size,
+                            size: meta.size,
                         });
-                        match pick {
-                            Some((rank, &(home, _))) => Plan::Chain {
-                                home,
-                                chunk: *chunk,
-                                degraded: rank > 0,
-                            },
-                            None => Plan::Fallback { chunk: *chunk },
-                        }
                     }
-                })
-                .collect();
-            (plan, mgr.benefactor_count())
+                    let loc = match meta.slots[idx] {
+                        Slot::Unmaterialized | Slot::Hole => CachedLoc::Zeros,
+                        Slot::Chunk(c) => CachedLoc::Chunk {
+                            chunk: c,
+                            homes: mgr
+                                .chunk_homes(c)
+                                .expect("chunk without home")
+                                .iter()
+                                .map(|&h| (h, mgr.benefactor(h).node))
+                                .collect(),
+                        },
+                    };
+                    if let Some(cache) = cache {
+                        cache.insert(epoch, (file, idx), loc.clone());
+                    }
+                    e.loc = Some(loc);
+                }
+                if let Some(CachedLoc::Chunk { homes, .. }) = &e.loc {
+                    let rank = homes.iter().position(|&(h, node)| {
+                        mgr.benefactor(h).is_alive() && self.net.reachable(node, client_node)
+                    });
+                    e.home = rank.map(|r| homes[r].0);
+                    e.degraded = rank.is_some_and(|r| r > 0);
+                }
+            }
+            mgr.benefactor_count()
         };
 
-        // Group chains per benefactor (input order within a group) and
-        // drain them min-cursor-first so resource requests are issued in
-        // non-decreasing virtual time.
-        // A group's cursor starts at ZERO; each entry starts at
-        // `max(cursor, ready[i])`, so with a uniform `ready` (serial
-        // manager, or shards=1 where every owner is shard 0) the drain is
-        // exactly the original shared-`t0` schedule.
-        let mut scratch = std::mem::take(&mut *self.chain_scratch.lock());
-        scratch.begin(fleet);
-        for (i, p) in plan.iter().enumerate() {
-            if let Plan::Chain { home, .. } = p {
-                scratch.push(*home, i);
-            }
-        }
-        let mut out: Vec<Option<(VTime, ChunkPayload)>> = Vec::new();
-        out.resize_with(targets.len(), || None);
-        while let Some((home, i, start)) = scratch.pop_min(&ready) {
-            let Plan::Chain {
-                chunk, degraded, ..
-            } = plan[i]
-            else {
-                unreachable!("grouped entries are chains")
-            };
-            self.chunk_fetches.inc();
-            let csp = self.trace.span(Layer::Store, "store.chunk_fetch", start);
-            // The shared retry loop re-picks from the live home list (the
-            // same scan that planned this chain) and, under
-            // `verify_reads`, fails the entry over to a replica when the
-            // arrived bytes don't match the recorded CRC.
-            let res = self.fetch_verified(start, client_node, chunk, degraded)?;
-            csp.arg("benefactor", res.home.0 as u64)
-                .arg("node", res.node as u64);
-            if res.degraded {
-                csp.arg("degraded", 1);
-            }
-            csp.finish(res.end);
-            scratch.set_cursor(home, res.end);
-            out[i] = Some((res.end, ChunkPayload::Data(res.data)));
-        }
-        *self.chain_scratch.lock() = scratch;
-
-        // Zeros and degraded fallbacks fill in the gaps. A fallback runs
-        // the same retry loop the serial path would, from its entry's
-        // resolution time — no second manager RPC — so a degraded
-        // batched fetch completes at exactly the serial fetch's time and
-        // counts under the same `degraded_reads` counter.
-        for (i, p) in plan.iter().enumerate() {
-            match p {
-                Plan::Zeros => {
-                    self.chunk_fetches.inc();
+        let mut out = vec![(VTime::ZERO, ChunkPayload::Zeros); targets.len()];
+        self.run_chains(
+            |i| entries[i].home,
+            &mut times,
+            fleet,
+            |i, start| {
+                self.chunk_fetches.inc();
+                let e = &entries[i];
+                let Some(CachedLoc::Chunk { chunk, .. }) = e.loc else {
+                    // Hole: the manager's reply says "no data"; zeros are
+                    // materialized client-side for free.
                     self.zero_fills.inc();
-                    out[i] = Some((ready[i], ChunkPayload::Zeros));
+                    return Ok(start);
+                };
+                let (file, idx) = targets[i];
+                let csp = self.trace.span(Layer::Store, "store.chunk_fetch", start);
+                csp.arg("file", file.0).arg("idx", idx as u64);
+                // The retry loop re-picks from the live home list (the same
+                // scan that planned this entry) and, under `verify_reads`,
+                // fails over to a replica when the arrived bytes don't match
+                // the recorded CRC.
+                let res = self.fetch_verified(start, client_node, chunk, e.degraded)?;
+                csp.arg("benefactor", res.home.0 as u64)
+                    .arg("node", res.node as u64);
+                if res.degraded {
+                    csp.arg("degraded", 1);
                 }
-                Plan::Fallback { chunk } => {
-                    self.chunk_fetches.inc();
-                    let csp = self.trace.span(Layer::Store, "store.chunk_fetch", ready[i]);
-                    let res = self.fetch_verified(ready[i], client_node, *chunk, false)?;
-                    csp.arg("benefactor", res.home.0 as u64)
-                        .arg("node", res.node as u64);
-                    if res.degraded {
-                        csp.arg("degraded", 1);
-                    }
-                    csp.finish(res.end);
-                    out[i] = Some((res.end, ChunkPayload::Data(res.data)));
-                }
-                Plan::Chain { .. } => {}
-            }
+                csp.finish(res.end);
+                out[i].1 = ChunkPayload::Data(res.data);
+                Ok(res.end)
+            },
+        )?;
+        for (o, end) in out.iter_mut().zip(times) {
+            o.0 = end;
         }
-        let out: Vec<(VTime, ChunkPayload)> = out
-            .into_iter()
-            .map(|e| e.expect("all entries filled"))
-            .collect();
-        // The batch completes when its slowest entry does.
-        sp.finish(out.iter().map(|&(end, _)| end).max().unwrap_or(t));
         Ok(out)
     }
 
@@ -1921,6 +1889,11 @@ impl AggregateStore {
     /// chunk's home list — its on-disk bytes are stale from now on and
     /// are reclaimed when the benefactor reconciles on recovery. The
     /// write only fails if *no* copy is on a live benefactor.
+    ///
+    /// Resolution and the per-entry body are [`Self::write_pages_batch`]'s;
+    /// the one difference is deliberate: with no batch to merge into, an
+    /// erasure-coded write ships its parity deltas inline, concurrently
+    /// with the data, instead of after it.
     pub fn write_pages(
         &self,
         t: VTime,
@@ -1933,8 +1906,10 @@ impl AggregateStore {
         self.poll_faults(t);
         let sp = self.trace.span(Layer::Store, "store.write_pages", t);
         sp.arg("file", file.0).arg("idx", idx as u64);
-        let t = self.slot_rpc(t, client_node, file, idx, MgrOp::Write)?;
-        let end = self.write_pages_resolved(t, client_node, file, idx, updates)?;
+        let owners = self.slot_owners(std::iter::once((file, idx)));
+        let need = std::iter::once(true);
+        let t = self.resolve_rpcs(t, client_node, &owners, need, MgrOp::Write)?[0];
+        let end = self.write_pages_inner(t, client_node, file, idx, updates, None)?;
         sp.finish(end);
         Ok(end)
     }
@@ -1945,14 +1920,12 @@ impl AggregateStore {
     /// chain serially (entry `i+1` ships when entry `i`'s replicas have
     /// all acknowledged), chains on distinct benefactors proceed
     /// concurrently from the shared resolution time, so a background
-    /// flush scales with stripe width. Chains are drained min-cursor
-    /// first, keeping resource requests in non-decreasing virtual time.
-    /// Returns per-entry completion times in input order (a flush's
-    /// completion is their max). Replication semantics per entry are
-    /// identical to [`Self::write_pages`]: each entry independently ships
-    /// to every live home and drops dead ones; an entry with no live home
-    /// runs unchained from the resolution time and surfaces the same
-    /// error the serial path would.
+    /// flush scales with stripe width. Returns per-entry completion times
+    /// in input order (a flush's completion is their max). Replication
+    /// semantics per entry are identical to [`Self::write_pages`]: each
+    /// entry independently ships to every live home and drops dead ones;
+    /// an entry with no live home runs unchained from the resolution time
+    /// and surfaces the same error the serial path would.
     pub fn write_pages_batch(
         &self,
         t: VTime,
@@ -1970,39 +1943,17 @@ impl AggregateStore {
         let sp = self.trace.span(Layer::Store, "store.write_batch", t);
         sp.arg("entries", entries.len() as u64);
 
-        // Resolution RPC(s): one per owning shard in shard mode — writes
-        // are placement mutations and always reach the authoritative
-        // shard, no lease shortcut — issued concurrently from `t`; one
-        // serial manager RPC otherwise. `ready[i]` is when entry `i`'s
-        // resolution reply is in hand.
-        let ready: Vec<VTime> = if self.shards_installed() == 0 {
-            let t0 = self.mgr_rpc(t, client_node, MgrOp::Write)?;
-            vec![t0; entries.len()]
-        } else {
-            let owners: Vec<usize> = {
-                let shards = self.shards.lock();
-                let ss = shards.as_ref().expect("shard set installed");
-                entries
-                    .iter()
-                    .map(|e| ss.ring().owner_of_slot(e.file, e.idx))
-                    .collect()
-            };
-            let mut contacted: BTreeMap<usize, VTime> = BTreeMap::new();
-            for &owner in &owners {
-                contacted.entry(owner).or_insert(VTime::ZERO);
-            }
-            for (&shard, end) in contacted.iter_mut() {
-                *end = self.shard_rpc(t, client_node, shard, MgrOp::Write)?;
-            }
-            owners.iter().map(|o| contacted[o]).collect()
-        };
+        // Writes are placement mutations: every entry reaches the
+        // authoritative manager or shard — no lease shortcut.
+        let owners = self.slot_owners(entries.iter().map(|e| (e.file, e.idx)));
+        let need = entries.iter().map(|_| true);
+        let mut ends = self.resolve_rpcs(t, client_node, &owners, need, MgrOp::Write)?;
 
-        // Group entries by the benefactor their bytes land on first (the
-        // primary live home). Resolution here is advisory — it only
-        // shapes chains; `write_pages_resolved` re-resolves
-        // authoritatively per entry. Cursors start at ZERO and each entry
-        // starts at `max(cursor, ready[i])`, so a uniform `ready` yields
-        // exactly the original shared-`t0` schedule.
+        // Chain entries by the benefactor their bytes land on first (the
+        // primary live home). This is advisory — it only shapes chains;
+        // `write_pages_inner` re-resolves authoritatively per entry.
+        // Entries with no live home at batch time (they error, or — for
+        // holes — allocate wherever space remains) run unchained.
         let (keys, fleet): (Vec<Option<BenefactorId>>, usize) = {
             let mgr = self.mgr.lock();
             let keys = entries
@@ -2011,53 +1962,27 @@ impl AggregateStore {
                 .collect();
             (keys, mgr.benefactor_count())
         };
-        let mut scratch = std::mem::take(&mut *self.chain_scratch.lock());
-        scratch.begin(fleet);
-        for (i, k) in keys.iter().enumerate() {
-            if let Some(home) = k {
-                scratch.push(*home, i);
-            }
-        }
         let mut pbatch = ParityBatch::default();
-        let mut ends: Vec<VTime> = ready.clone();
-        while let Some((home, i, start)) = scratch.pop_min(&ready) {
-            let e = &entries[i];
-            let esp = self.trace.span(Layer::Store, "store.write_pages", start);
-            esp.arg("file", e.file.0).arg("idx", e.idx as u64);
-            let end = self.write_pages_inner(
-                start,
-                client_node,
-                e.file,
-                e.idx,
-                e.updates,
-                Some((i, &mut pbatch)),
-            )?;
-            esp.finish(end);
-            scratch.set_cursor(home, end);
-            ends[i] = end;
-        }
-        *self.chain_scratch.lock() = scratch;
-        // Entries with no live home at batch time (they error, or — for
-        // holes — allocate wherever space remains) run unchained from
-        // their resolution time.
-        for (i, k) in keys.iter().enumerate() {
-            if k.is_some() {
-                continue;
-            }
-            let e = &entries[i];
-            let esp = self.trace.span(Layer::Store, "store.write_pages", ready[i]);
-            esp.arg("file", e.file.0).arg("idx", e.idx as u64);
-            let end = self.write_pages_inner(
-                ready[i],
-                client_node,
-                e.file,
-                e.idx,
-                e.updates,
-                Some((i, &mut pbatch)),
-            )?;
-            esp.finish(end);
-            ends[i] = end;
-        }
+        self.run_chains(
+            |i| keys[i],
+            &mut ends,
+            fleet,
+            |i, start| {
+                let e = &entries[i];
+                let esp = self.trace.span(Layer::Store, "store.write_pages", start);
+                esp.arg("file", e.file.0).arg("idx", e.idx as u64);
+                let end = self.write_pages_inner(
+                    start,
+                    client_node,
+                    e.file,
+                    e.idx,
+                    e.updates,
+                    Some((i, &mut pbatch)),
+                )?;
+                esp.finish(end);
+                Ok(end)
+            },
+        )?;
         // Ship each touched group's XOR-merged parity once, after every
         // contributing data write has landed: one delta per parity member
         // per batch, not per entry. A full-group RS(4, 2) batch therefore
@@ -2125,23 +2050,11 @@ impl AggregateStore {
         }
     }
 
-    /// The post-RPC body of a page write-back: `t` is the time the
-    /// manager's resolution reply arrived.
-    fn write_pages_resolved(
-        &self,
-        t: VTime,
-        client_node: usize,
-        file: FileId,
-        idx: usize,
-        updates: &[(u64, &[u8])],
-    ) -> Result<VTime> {
-        self.write_pages_inner(t, client_node, file, idx, updates, None)
-    }
-
-    /// [`Self::write_pages_resolved`] with an optional parity-deferral
-    /// sink: the batched path passes `Some((entry_index, batch))` so an
+    /// The post-RPC body of a page write-back, run at `t` when the
+    /// resolution reply is in hand. `defer` is the parity sink: the
+    /// batched path passes `Some((entry_index, batch))` so an
     /// erasure-coded write contributes its parity deltas to the batch's
-    /// per-group accumulator instead of shipping them itself.
+    /// per-group accumulator; `None` ships them inline.
     fn write_pages_inner(
         &self,
         t: VTime,
@@ -2418,8 +2331,8 @@ impl AggregateStore {
         // Erasure-coded write: every parity member of this slot's group
         // absorbs coef(p, member) · (old ⊕ new) over exactly the dirty
         // runs — O(dirty) parity work per write, never a group re-encode
-        // (DESIGN.md §15). The serial path ships the deltas now; the
-        // batched path defers them to a per-group, per-batch merge.
+        // (DESIGN.md §15). `write_pages` ships the deltas now; a batch
+        // defers them to a per-group, per-batch merge.
         if let Some((k, m, group, member)) = parity_cfg {
             let code = RsCode::new(k, m);
             let deltas: Vec<Vec<(u64, Box<[u8]>)>> = (0..m)
@@ -4508,6 +4421,61 @@ mod tests {
         // 25% fewer bytes.
         assert_eq!(rs, 6 * CHUNK);
         assert_eq!(rep, 8 * CHUNK);
+    }
+
+    #[test]
+    fn serial_write_ships_parity_inline_a_batch_defers_it() {
+        // Twin stores, same RS(2, 1) history; the last one-page write goes
+        // through `write_pages` on one and a one-entry `write_pages_batch`
+        // on the other. The serial write ships its parity delta alongside
+        // the data; the batch merges parity and ships it once the data
+        // has landed. Same bytes and digests either way — the serial
+        // write just completes strictly earlier.
+        let run = |batched: bool| {
+            let (store, _) = store_n(3);
+            let client = 4;
+            let f = make_file_parity(&store, client, "/m", 2 * CHUNK, 2, 1);
+            let a = pattern(0x21);
+            let t = store
+                .write_pages(VTime::ZERO, client, f, 0, &[(0, &a)])
+                .unwrap();
+            let page = vec![0x3Cu8; 4096];
+            let updates: [(u64, &[u8]); 1] = [(4096, &page)];
+            let end = if batched {
+                let entry = BatchWrite {
+                    file: f,
+                    idx: 0,
+                    updates: &updates,
+                };
+                store.write_pages_batch(t, client, &[entry]).unwrap()[0]
+            } else {
+                store.write_pages(t, client, f, 0, &updates).unwrap()
+            };
+            let c0 = chunk_of(&store, f, 0);
+            let mgr = store.manager();
+            let Slot::Chunk(pc) = mgr.file(f).unwrap().parity_slot(0, 0) else {
+                panic!("parity not materialized");
+            };
+            let crcs: Vec<(u64, u64)> = [c0, pc]
+                .into_iter()
+                .map(|c| {
+                    let home = mgr.chunk_home(c).unwrap();
+                    let bytes = mgr.benefactor(home).peek_chunk(c).unwrap();
+                    (mgr.chunk_crc(c).unwrap(), crc64(bytes))
+                })
+                .collect();
+            (end, crcs)
+        };
+        let (serial_end, serial_crcs) = run(false);
+        let (batch_end, batch_crcs) = run(true);
+        assert!(
+            serial_end < batch_end,
+            "serial parity ships inline: {serial_end:?} vs {batch_end:?}"
+        );
+        assert_eq!(serial_crcs, batch_crcs);
+        for (recorded, stored) in serial_crcs {
+            assert_eq!(recorded, stored);
+        }
     }
 
     #[test]

@@ -161,28 +161,49 @@ struct Seg {
 
 /// Split `[offset, offset+len)` into chunk-aligned segments, with caller
 /// buffer positions starting at `pos_base`.
-fn segments_of(offset: u64, len: u64, cs: u64, pos_base: usize, out: &mut Vec<Seg>) {
+fn segments_of(offset: u64, len: u64, cs: u64, pos_base: usize) -> impl Iterator<Item = Seg> {
     let mut pos = 0u64;
-    while pos < len {
+    std::iter::from_fn(move || {
+        if pos >= len {
+            return None;
+        }
         let abs = offset + pos;
-        let idx = (abs / cs) as usize;
-        let within = (abs % cs) as usize;
-        let take = ((cs - abs % cs).min(len - pos)) as usize;
-        out.push(Seg {
-            idx,
-            within,
+        let take = (cs - abs % cs).min(len - pos);
+        let seg = Seg {
+            idx: (abs / cs) as usize,
+            within: (abs % cs) as usize,
             pos: pos_base + pos as usize,
-            take,
-        });
-        pos += take as u64;
-    }
+            take: take as usize,
+        };
+        pos += take;
+        Some(seg)
+    })
 }
 
-/// Direction of a pipelined span: fill the caller's buffer from cache, or
-/// apply the caller's data to cache (marking dirty pages).
+/// Direction of a span: fill the caller's buffer from cache, or apply the
+/// caller's data to cache (marking dirty pages).
 enum SpanIo<'a> {
     Read(&'a mut [u8]),
     Write(&'a [u8]),
+}
+
+/// One batched-write entry per chunk key, borrowing its write-back runs.
+fn batch_writes<'a>(
+    keys: impl Iterator<Item = ChunkKey>,
+    updates: &'a [Vec<(u64, &'a [u8])>],
+) -> Vec<BatchWrite<'a>> {
+    keys.zip(updates)
+        .map(|((file, idx), u)| BatchWrite {
+            file,
+            idx,
+            updates: u,
+        })
+        .collect()
+}
+
+/// Payload bytes in one chunk's write-back runs.
+fn run_bytes(runs: &[(u64, &[u8])]) -> u64 {
+    runs.iter().map(|(_, d)| d.len() as u64).sum()
 }
 
 /// A node's view of the aggregate store. Shared by all processes on the
@@ -389,27 +410,8 @@ impl Mount {
             self.kick_bg_flush(&mut st, t);
         }
 
-        let cs = self.chunk_size();
-        if self.cfg.pipelined_io {
-            let mut segs = Vec::new();
-            segments_of(offset, buf.len() as u64, cs, 0, &mut segs);
-            t = self.pipelined_span(t, file, &segs, SpanIo::Read(buf))?;
-        } else {
-            let mut pos = 0usize;
-            while pos < buf.len() {
-                let abs = offset + pos as u64;
-                let idx = (abs / cs) as usize;
-                let within = (abs % cs) as usize;
-                let take = (cs as usize - within).min(buf.len() - pos);
-                t = self.ensure_chunk(t, file, idx)?;
-                {
-                    let mut st = self.state.lock();
-                    let entry = st.cache.peek_mut(&(file, idx)).expect("just ensured");
-                    buf[pos..pos + take].copy_from_slice(&entry.data[within..within + take]);
-                }
-                pos += take;
-            }
-        }
+        let segs = segments_of(offset, buf.len() as u64, self.chunk_size(), 0);
+        t = self.span(t, file, segs, SpanIo::Read(buf))?;
 
         // Sequential stream detection → asynchronous read-ahead. In
         // pipelined mode the depth ramps with the streak (a one-off
@@ -461,35 +463,14 @@ impl Mount {
             .arg("bytes", run_len * count);
         t += self.cfg.op_overhead;
 
-        let cs = self.chunk_size();
-        if self.cfg.pipelined_io {
-            let mut segs = Vec::new();
-            for r in 0..count {
-                let start = offset + r * stride;
-                self.read_req_bytes.add(self.page_rounded(start, run_len));
-                segments_of(start, run_len, cs, (r * run_len) as usize, &mut segs);
-            }
-            t = self.pipelined_span(t, file, &segs, SpanIo::Read(out))?;
-        } else {
-            for r in 0..count {
-                let start = offset + r * stride;
-                self.read_req_bytes.add(self.page_rounded(start, run_len));
-                let out_base = (r * run_len) as usize;
-                let mut pos = 0usize;
-                while (pos as u64) < run_len {
-                    let abs = start + pos as u64;
-                    let idx = (abs / cs) as usize;
-                    let within = (abs % cs) as usize;
-                    let take = (cs as usize - within).min((run_len as usize) - pos);
-                    t = self.ensure_chunk(t, file, idx)?;
-                    let mut st = self.state.lock();
-                    let entry = st.cache.peek_mut(&(file, idx)).expect("just ensured");
-                    out[out_base + pos..out_base + pos + take]
-                        .copy_from_slice(&entry.data[within..within + take]);
-                    pos += take;
-                }
-            }
+        for r in 0..count {
+            self.read_req_bytes
+                .add(self.page_rounded(offset + r * stride, run_len));
         }
+        let cs = self.chunk_size();
+        let segs = (0..count)
+            .flat_map(|r| segments_of(offset + r * stride, run_len, cs, (r * run_len) as usize));
+        t = self.span(t, file, segs, SpanIo::Read(out))?;
         // A strided burst is not a sequential stream — but it must only
         // disturb streams it actually collided with: drop the cursors whose
         // expected next offset falls inside the strided range, and leave
@@ -520,34 +501,9 @@ impl Mount {
         sp.arg("file", file.0).arg("bytes", data.len() as u64);
         t += self.cfg.op_overhead;
 
-        let cs = self.chunk_size();
-        if self.cfg.pipelined_io {
-            let mut segs = Vec::new();
-            segments_of(offset, data.len() as u64, cs, 0, &mut segs);
-            let end = self.pipelined_span(t, file, &segs, SpanIo::Write(data))?;
-            self.push_gauges();
-            sp.finish(end);
-            return Ok(end);
-        }
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let abs = offset + pos as u64;
-            let idx = (abs / cs) as usize;
-            let within = abs % cs;
-            let take = ((cs - within) as usize).min(data.len() - pos);
-            // Read-modify-write: a miss pulls the chunk first (§III-D).
-            t = self.ensure_chunk(t, file, idx)?;
-            {
-                let mut st = self.state.lock();
-                let entry = st.cache.peek_mut(&(file, idx)).expect("just ensured");
-                // The first write to a fetched chunk copies it away from
-                // the benefactor's bytes; later writes land in place.
-                entry.data.make_mut()[within as usize..within as usize + take]
-                    .copy_from_slice(&data[pos..pos + take]);
-                t = self.note_write(&mut st, t, (file, idx), within, within + take as u64)?;
-            }
-            pos += take;
-        }
+        // Read-modify-write: a miss pulls the chunk first (§III-D).
+        let segs = segments_of(offset, data.len() as u64, self.chunk_size(), 0);
+        t = self.span(t, file, segs, SpanIo::Write(data))?;
         self.push_gauges();
         sp.finish(t);
         Ok(t)
@@ -559,15 +515,7 @@ impl Mount {
         let keys = { self.state.lock().cache.keys_of_file(file) };
         let sp = self.trace.span(Layer::Fuse, "fuse.flush", t);
         sp.arg("file", file.0).arg("chunks", keys.len() as u64);
-        if self.cfg.pipelined_io {
-            let end = self.flush_keys_batched(t, &keys)?;
-            self.push_gauges();
-            sp.finish(end);
-            return Ok(end);
-        }
-        for key in keys {
-            t = self.flush_entry(t, key)?;
-        }
+        t = self.flush_keys(t, &keys)?;
         self.push_gauges();
         sp.finish(t);
         Ok(t)
@@ -595,17 +543,21 @@ impl Mount {
         let keys = { self.state.lock().cache.dirty_keys() };
         let sp = self.trace.span(Layer::Fuse, "fuse.flush", t);
         sp.arg("chunks", keys.len() as u64);
-        if self.cfg.pipelined_io {
-            let end = self.flush_keys_batched(t, &keys)?;
-            self.push_gauges();
-            sp.finish(end);
-            return Ok(end);
-        }
-        for key in keys {
-            t = self.flush_entry(t, key)?;
-        }
+        t = self.flush_keys(t, &keys)?;
         self.push_gauges();
         sp.finish(t);
+        Ok(t)
+    }
+
+    /// Write back the dirty pages of `keys`: one store write per chunk on
+    /// the serial path, one batched write in pipelined mode.
+    fn flush_keys(&self, mut t: VTime, keys: &[ChunkKey]) -> Result<VTime> {
+        if self.cfg.pipelined_io {
+            return self.flush_keys_batched(t, keys);
+        }
+        for &key in keys {
+            t = self.flush_entry(t, key)?;
+        }
         Ok(t)
     }
 
@@ -621,12 +573,8 @@ impl Mount {
         if !entry.dirty.any() {
             return Ok(t);
         }
-        let runs = entry.dirty.runs(self.page_size());
-        let updates: Vec<(u64, &[u8])> = runs
-            .iter()
-            .map(|&(off, len)| (off, &entry.data[off as usize..(off + len) as usize]))
-            .collect();
-        let bytes: u64 = updates.iter().map(|(_, d)| d.len() as u64).sum();
+        let updates = self.writeback_runs(entry, false);
+        let bytes = run_bytes(&updates);
         self.writeback_bytes.add(bytes);
         let sp = self.trace.span(Layer::Fuse, "fuse.writeback", t);
         sp.arg("bytes", bytes);
@@ -647,56 +595,48 @@ impl Mount {
     /// bits clear only after the store accepts the batch. Returns the
     /// latest per-entry completion (the flush barrier).
     fn flush_keys_batched(&self, t: VTime, keys: &[ChunkKey]) -> Result<VTime> {
-        let ps = self.page_size();
         let mut st = self.state.lock();
-        let dirty: Vec<(ChunkKey, Vec<(u64, u64)>)> = keys
+        let dirty: Vec<ChunkKey> = keys
             .iter()
-            .filter_map(|key| {
-                let e = st.cache.peek(key)?;
-                if e.dirty.any() {
-                    Some((*key, e.dirty.runs(ps)))
-                } else {
-                    None
-                }
-            })
+            .copied()
+            .filter(|key| st.cache.peek(key).is_some_and(|e| e.dirty.any()))
             .collect();
         if dirty.is_empty() {
             return Ok(t);
         }
         let updates: Vec<Vec<(u64, &[u8])>> = dirty
             .iter()
-            .map(|(key, runs)| {
-                let e = st.cache.peek(key).expect("collected above");
-                runs.iter()
-                    .map(|&(off, len)| (off, &e.data[off as usize..(off + len) as usize]))
-                    .collect()
-            })
+            .map(|key| self.writeback_runs(st.cache.peek(key).expect("collected above"), false))
             .collect();
-        let entries: Vec<BatchWrite<'_>> = dirty
-            .iter()
-            .zip(&updates)
-            .map(|((key, _), u)| BatchWrite {
-                file: key.0,
-                idx: key.1,
-                updates: u,
-            })
-            .collect();
-        let bytes: u64 = updates.iter().flatten().map(|(_, d)| d.len() as u64).sum();
+        let entries = batch_writes(dirty.iter().copied(), &updates);
+        let bytes: u64 = updates.iter().map(|u| run_bytes(u)).sum();
         self.writeback_bytes.add(bytes);
         let sp = self.trace.span(Layer::Fuse, "fuse.writeback", t);
         sp.arg("bytes", bytes).arg("chunks", dirty.len() as u64);
         let times = self.store.write_pages_batch(t, self.node, &entries)?;
         drop(entries);
         drop(updates);
-        for (key, _) in &dirty {
+        for key in &dirty {
             st.cache.clear_dirty(key);
         }
-        let mut end = t;
-        for tt in times {
-            end = end.max(tt);
-        }
+        let end = times.into_iter().fold(t, VTime::max);
         sp.finish(end);
         Ok(end)
+    }
+
+    /// The `(chunk offset, bytes)` runs a cached chunk writes back,
+    /// borrowed from the entry: its dirty page runs or — `whole`, the
+    /// Table VII baseline — the entire chunk.
+    fn writeback_runs<'e>(&self, entry: &'e CacheEntry, whole: bool) -> Vec<(u64, &'e [u8])> {
+        if whole {
+            return vec![(0, &entry.data[..])];
+        }
+        entry
+            .dirty
+            .runs(self.page_size())
+            .into_iter()
+            .map(|(off, len)| (off, &entry.data[off as usize..(off + len) as usize]))
+            .collect()
     }
 
     // ----- write-back daemon (DESIGN.md §10) ---------------------------------
@@ -769,38 +709,13 @@ impl Mount {
         for key in batch {
             start = start.max(st.cache.peek(key).expect("dirty key cached").ready_at);
         }
-        let ps = self.page_size();
-        let runs: Vec<Vec<(u64, u64)>> = batch
-            .iter()
-            .map(|key| {
-                let e = st.cache.peek(key).expect("dirty key cached");
-                if self.cfg.dirty_page_writeback {
-                    e.dirty.runs(ps)
-                } else {
-                    vec![(0, e.data.len() as u64)]
-                }
-            })
-            .collect();
+        let whole = !self.cfg.dirty_page_writeback;
         let updates: Vec<Vec<(u64, &[u8])>> = batch
             .iter()
-            .zip(&runs)
-            .map(|(key, rs)| {
-                let e = st.cache.peek(key).expect("dirty key cached");
-                rs.iter()
-                    .map(|&(off, len)| (off, &e.data[off as usize..(off + len) as usize]))
-                    .collect()
-            })
+            .map(|key| self.writeback_runs(st.cache.peek(key).expect("dirty key cached"), whole))
             .collect();
-        let entries: Vec<BatchWrite<'_>> = batch
-            .iter()
-            .zip(&updates)
-            .map(|(key, u)| BatchWrite {
-                file: key.0,
-                idx: key.1,
-                updates: u,
-            })
-            .collect();
-        let bytes: u64 = updates.iter().flatten().map(|(_, d)| d.len() as u64).sum();
+        let entries = batch_writes(batch.iter().copied(), &updates);
+        let bytes: u64 = updates.iter().map(|u| run_bytes(u)).sum();
         let sp = self.trace.span(Layer::Fuse, "fuse.bg_flush", start);
         sp.arg("chunks", batch.len() as u64).arg("bytes", bytes);
         let times = self.store.write_pages_batch(start, self.node, &entries)?;
@@ -812,10 +727,7 @@ impl Mount {
         self.bg_flushes.inc();
         self.bg_writeback_bytes.add(bytes);
         self.writeback_bytes.add(bytes);
-        let mut end = start;
-        for tt in times {
-            end = end.max(tt);
-        }
+        let end = times.into_iter().fold(start, VTime::max);
         sp.finish(end);
         Ok(end)
     }
@@ -956,18 +868,8 @@ impl Mount {
             self.clean_evictions.inc();
             return Ok(t);
         }
-        let updates: Vec<(u64, &[u8])> = if self.cfg.dirty_page_writeback {
-            entry
-                .dirty
-                .runs(self.page_size())
-                .into_iter()
-                .map(|(off, len)| (off, &entry.data[off as usize..(off + len) as usize]))
-                .collect()
-        } else {
-            // Ablation baseline: ship the entire chunk.
-            vec![(0, &entry.data[..])]
-        };
-        let bytes: u64 = updates.iter().map(|(_, d)| d.len() as u64).sum();
+        let updates = self.writeback_runs(&entry, !self.cfg.dirty_page_writeback);
+        let bytes = run_bytes(&updates);
         self.writeback_bytes.add(bytes);
         let sp = self.trace.span(Layer::Fuse, "fuse.evict", t);
         sp.arg("bytes", bytes);
@@ -1057,20 +959,30 @@ impl Mount {
         Ok(())
     }
 
-    // ----- pipelined data path (DESIGN.md §8) --------------------------------
+    // ----- chunk spans, serial and pipelined (DESIGN.md §8) ------------------
 
-    /// Run a chunk-segmented span through the batched data path, windowed
-    /// by cache capacity so arbitrarily large spans still fit: ensure each
-    /// window's chunks with one batched fetch, then copy every segment of
-    /// the window under a single lock. Returns the time the last chunk of
-    /// the span is usable.
-    fn pipelined_span(
+    /// Run a chunk-segmented span (read or write) through the data path;
+    /// returns the time the last segment is done. Serial (the paper's
+    /// §III-D path): each segment makes its chunk resident on its own —
+    /// a miss is one store fetch — then applies. Pipelined (DESIGN.md §8):
+    /// windows of segments sized by cache capacity, so arbitrarily large
+    /// spans still fit, each made resident with one batched fetch and
+    /// then applied under a single lock.
+    fn span(
         &self,
         mut t: VTime,
         file: FileId,
-        segs: &[Seg],
+        segs: impl Iterator<Item = Seg>,
         mut io: SpanIo<'_>,
     ) -> Result<VTime> {
+        if !self.cfg.pipelined_io {
+            for s in segs {
+                t = self.ensure_chunk(t, file, s.idx)?;
+                t = self.apply_segs(t, file, &[s], &mut io)?;
+            }
+            return Ok(t);
+        }
+        let segs: Vec<Seg> = segs.collect();
         let cap = { self.state.lock().cache.capacity() };
         let mut start = 0usize;
         while start < segs.len() {
@@ -1090,30 +1002,43 @@ impl Mount {
                 end += 1;
             }
             t = self.ensure_chunks_list(t, file, &idxs)?;
-            {
-                let mut st = self.state.lock();
-                for s in &segs[start..end] {
-                    let entry = st.cache.peek_mut(&(file, s.idx)).expect("just ensured");
-                    match &mut io {
-                        SpanIo::Read(buf) => {
-                            buf[s.pos..s.pos + s.take]
-                                .copy_from_slice(&entry.data[s.within..s.within + s.take]);
-                        }
-                        SpanIo::Write(data) => {
-                            entry.data.make_mut()[s.within..s.within + s.take]
-                                .copy_from_slice(&data[s.pos..s.pos + s.take]);
-                            t = self.note_write(
-                                &mut st,
-                                t,
-                                (file, s.idx),
-                                s.within as u64,
-                                (s.within + s.take) as u64,
-                            )?;
-                        }
-                    }
+            t = self.apply_segs(t, file, &segs[start..end], &mut io)?;
+            start = end;
+        }
+        Ok(t)
+    }
+
+    /// Apply resident segments under one lock: copy out into the caller's
+    /// buffer, or copy in and mark the pages dirty. The first write to a
+    /// fetched chunk copies it away from the benefactor's bytes; later
+    /// writes land in place.
+    fn apply_segs(
+        &self,
+        mut t: VTime,
+        file: FileId,
+        segs: &[Seg],
+        io: &mut SpanIo<'_>,
+    ) -> Result<VTime> {
+        let mut st = self.state.lock();
+        for s in segs {
+            let entry = st.cache.peek_mut(&(file, s.idx)).expect("just ensured");
+            match io {
+                SpanIo::Read(buf) => {
+                    buf[s.pos..s.pos + s.take]
+                        .copy_from_slice(&entry.data[s.within..s.within + s.take]);
+                }
+                SpanIo::Write(data) => {
+                    entry.data.make_mut()[s.within..s.within + s.take]
+                        .copy_from_slice(&data[s.pos..s.pos + s.take]);
+                    t = self.note_write(
+                        &mut st,
+                        t,
+                        (file, s.idx),
+                        s.within as u64,
+                        (s.within + s.take) as u64,
+                    )?;
                 }
             }
-            start = end;
         }
         Ok(t)
     }
@@ -1194,36 +1119,13 @@ impl Mount {
         for (_, e) in &dirty_victims {
             start = start.max(e.ready_at);
         }
-        let ps = self.page_size();
-        let runs: Vec<Vec<(u64, u64)>> = dirty_victims
-            .iter()
-            .map(|(_, e)| {
-                if self.cfg.dirty_page_writeback {
-                    e.dirty.runs(ps)
-                } else {
-                    vec![(0, e.data.len() as u64)]
-                }
-            })
-            .collect();
+        let whole = !self.cfg.dirty_page_writeback;
         let updates: Vec<Vec<(u64, &[u8])>> = dirty_victims
             .iter()
-            .zip(&runs)
-            .map(|((_, e), rs)| {
-                rs.iter()
-                    .map(|&(off, len)| (off, &e.data[off as usize..(off + len) as usize]))
-                    .collect()
-            })
+            .map(|(_, e)| self.writeback_runs(e, whole))
             .collect();
-        let entries: Vec<BatchWrite<'_>> = dirty_victims
-            .iter()
-            .zip(&updates)
-            .map(|((key, _), u)| BatchWrite {
-                file: key.0,
-                idx: key.1,
-                updates: u,
-            })
-            .collect();
-        let bytes: u64 = updates.iter().flatten().map(|(_, d)| d.len() as u64).sum();
+        let entries = batch_writes(dirty_victims.iter().map(|(key, _)| *key), &updates);
+        let bytes: u64 = updates.iter().map(|u| run_bytes(u)).sum();
         self.writeback_bytes.add(bytes);
         self.async_writebacks.add(dirty_victims.len() as u64);
         let sp = self.trace.span(Layer::Fuse, "fuse.async_writeback", start);
@@ -1232,11 +1134,7 @@ impl Mount {
         // Completion times intentionally dropped (asynchronous write-back);
         // the span still records when the background writes land.
         let times = self.store.write_pages_batch(start, self.node, &entries)?;
-        let mut done = start;
-        for tt in times {
-            done = done.max(tt);
-        }
-        sp.finish(done);
+        sp.finish(times.into_iter().fold(start, VTime::max));
         Ok(t)
     }
 }

@@ -211,3 +211,58 @@ fn lru_eviction_order_is_strict() {
     let t5 = m2.read(t4, f, CHUNK, &mut buf).unwrap();
     assert!(t5 - t4 > m.config().op_overhead * 10);
 }
+
+/// The serial data path (`FuseConfig::default()`) makes every chunk
+/// segment of a span resident on its own: one cache lookup per segment,
+/// even when consecutive strided runs land in the same chunk. The
+/// completion times pin the serial cost model — miss fills, dirty
+/// evictions through a three-chunk cache and hit-only segments.
+#[test]
+fn serial_spans_look_up_each_chunk_segment() {
+    let (m, stats) = world(FuseConfig {
+        cache_bytes: 3 * CHUNK,
+        ..FuseConfig::default()
+    });
+    let f = mk_file(&m, 8);
+    let lookups = || stats.get("fuse.hits") + stats.get("fuse.misses");
+    let segments = |start: u64, len: u64| (start + len - 1) / CHUNK - start / CHUNK + 1;
+
+    // Write 2 chunks' worth from mid-chunk 0: segments in chunks 0, 1, 2.
+    let data: Vec<u8> = (0..2 * CHUNK as usize).map(|i| (i % 249) as u8).collect();
+    let before = lookups();
+    let t1 = m.write(VTime::ZERO, f, CHUNK / 2, &data).unwrap();
+    assert_eq!(lookups() - before, 3);
+
+    // Read chunks 0..=4 (partial at both ends): five segments; the
+    // three-chunk cache evicts the dirty chunks on the way.
+    let mut buf = vec![0u8; 4 * CHUNK as usize];
+    let before = lookups();
+    let t2 = m.read(t1, f, 100, &mut buf).unwrap();
+    assert_eq!(lookups() - before, segments(100, 4 * CHUNK));
+    for (i, &b) in buf.iter().enumerate() {
+        let abs = 100 + i as u64;
+        let want = if (CHUNK / 2..CHUNK / 2 + 2 * CHUNK).contains(&abs) {
+            data[(abs - CHUNK / 2) as usize]
+        } else {
+            0
+        };
+        assert_eq!(b, want, "byte {abs}");
+    }
+
+    // 15 runs of 100 B at a 100 000 B stride, the first straddling the
+    // chunk 0/1 boundary.
+    let (start, run, stride, count) = (CHUNK - 50, 100u64, 100_000u64, 15u64);
+    let mut out = vec![0u8; (run * count) as usize];
+    let before = lookups();
+    let t3 = m
+        .read_strided(t2, f, start, run, stride, count, &mut out)
+        .unwrap();
+    let segs: u64 = (0..count).map(|r| segments(start + r * stride, run)).sum();
+    assert!(segs > count, "some run crosses a chunk boundary");
+    assert_eq!(lookups() - before, segs);
+
+    assert_eq!(
+        [t1.as_nanos(), t2.as_nanos(), t3.as_nanos()],
+        [340_144, 4_928_236, 14_068_448]
+    );
+}

@@ -126,6 +126,10 @@ BENCH_JSON_DIR="$smoke_dir" cargo bench -q -p bench --bench degraded_mode -- --s
 diff -u crates/bench/expected/BENCH_degraded_mode_serial.json \
     <(strip_host "$smoke_dir/BENCH_degraded_mode_serial.json")
 
+echo "==> degraded_mode full output (replica and RS virtual times) must match committed expectations"
+diff -u crates/bench/expected/BENCH_degraded_mode.json \
+    <(strip_host "$smoke_dir/BENCH_degraded_mode.json")
+
 echo "==> erasure coding must encode, reconstruct and repair (never serve wrong bytes)"
 for c in ec_parity_encodes ec_parity_bytes ec_degraded_reconstructs ec_parity_repairs \
          rs_sweep_reconstructs; do
