@@ -50,7 +50,9 @@ fn mm_cluster(cfg: &JobConfig) -> Cluster {
 fn run_mm_once(n: usize, cfg: JobConfig, crash_at: Option<VTime>) -> (MmReport, Cluster) {
     let cluster = mm_cluster(&cfg);
     if let Some(at) = crash_at {
-        cluster.attach_faults(FaultPlanBuilder::new(2012).crash(at, VICTIM).build());
+        cluster
+            .attach_faults(FaultPlanBuilder::new(2012).crash(at, VICTIM).build())
+            .unwrap();
     }
     let mm = MmConfig {
         b_place: BPlacement::NvmShared,
@@ -72,7 +74,9 @@ fn run_stream_once(
         stream_fuse(SCALE, 8),
     );
     if let Some(at) = crash_at {
-        cluster.attach_faults(FaultPlanBuilder::new(2012).crash(at, 0).build());
+        cluster
+            .attach_faults(FaultPlanBuilder::new(2012).crash(at, 0).build())
+            .unwrap();
     }
     let scfg = StreamConfig::new(elems).place(ArrayPlace::Nvm, ArrayPlace::Nvm, ArrayPlace::Nvm);
     let r = run_stream(
@@ -424,7 +428,9 @@ fn demonstrate_rs_crash_sweep(report: &mut JsonReport, size: u64) {
         let ends = store.write_pages_batch(t, 0, &batch).unwrap();
         let mut now = ends.iter().copied().max().unwrap();
         if let Some(at) = crash_at {
-            cluster.attach_faults(FaultPlanBuilder::new(2012).crash(at, VICTIM).build());
+            cluster
+                .attach_faults(FaultPlanBuilder::new(2012).crash(at, VICTIM).build())
+                .unwrap();
         }
         let mut wrong = 0u64;
         for (idx, expect) in bufs.iter().enumerate() {

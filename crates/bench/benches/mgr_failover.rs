@@ -96,11 +96,13 @@ fn failover_sweep(ha: bool, shards: usize, crash: bool, nchunks: usize) -> Run {
     let ends = store.write_pages_batch(t, 0, &batch[..half]).unwrap();
     let write1_end = ends.iter().copied().max().unwrap();
     if crash {
-        cluster.attach_faults(
-            FaultPlanBuilder::new(SEED)
-                .mgr_crash(write1_end + VTime::from_micros(10), 0)
-                .build(),
-        );
+        cluster
+            .attach_faults(
+                FaultPlanBuilder::new(SEED)
+                    .mgr_crash(write1_end + VTime::from_micros(10), 0)
+                    .build(),
+            )
+            .unwrap();
     }
     let ends = store
         .write_pages_batch(write1_end, 0, &batch[half..])

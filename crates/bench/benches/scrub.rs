@@ -83,11 +83,13 @@ fn stream_once(
         )
     };
     if let Some(at) = rot_at {
-        cluster.attach_faults(
-            FaultPlanBuilder::new(4242)
-                .bit_rot(at, ROT, ROT_RATE_BP)
-                .build(),
-        );
+        cluster
+            .attach_faults(
+                FaultPlanBuilder::new(4242)
+                    .bit_rot(at, ROT, ROT_RATE_BP)
+                    .build(),
+            )
+            .unwrap();
     }
     if scrub {
         cluster.store.attach_scrub(stream_scrub(), VTime::ZERO);
@@ -138,11 +140,13 @@ fn demonstrate_k1_corruption(report: &mut JsonReport) {
         for idx in 0..8 {
             t = store.write_pages(t, 0, f, idx, &[(0, &page)]).unwrap();
         }
-        cluster.attach_faults(
-            FaultPlanBuilder::new(4242)
-                .bit_rot(t, ROT, ROT_RATE_BP)
-                .build(),
-        );
+        cluster
+            .attach_faults(
+                FaultPlanBuilder::new(4242)
+                    .bit_rot(t, ROT, ROT_RATE_BP)
+                    .build(),
+            )
+            .unwrap();
         // The slot whose sole copy lives on the rotted benefactor.
         let idx = {
             let mgr = store.manager();
@@ -213,11 +217,13 @@ fn measure_scrub_repair(report: &mut JsonReport) {
         chunks_per_pass: 64,
         ..ScrubConfig::default()
     };
-    cluster.attach_faults(
-        FaultPlanBuilder::new(7)
-            .bit_rot(t, ROT, ROT_RATE_BP)
-            .build(),
-    );
+    cluster
+        .attach_faults(
+            FaultPlanBuilder::new(7)
+                .bit_rot(t, ROT, ROT_RATE_BP)
+                .build(),
+        )
+        .unwrap();
     // Apply the rot and take the "before" census, *then* start the
     // daemon — attaching first would let the kick inside this poll repair
     // everything before the census.
@@ -271,11 +277,13 @@ fn demonstrate_quarantine(report: &mut JsonReport) {
         },
     );
     let store = &cluster.store;
-    cluster.attach_faults(
-        FaultPlanBuilder::new(13)
-            .corruption_rate(VTime::ZERO, ROT, 10_000)
-            .build(),
-    );
+    cluster
+        .attach_faults(
+            FaultPlanBuilder::new(13)
+                .corruption_rate(VTime::ZERO, ROT, 10_000)
+                .build(),
+        )
+        .unwrap();
     let (t, f) = store.create_file(VTime::from_micros(1), 0, "/hot").unwrap();
     let mut t = store
         .fallocate(

@@ -1,6 +1,7 @@
 //! Store error types.
 
 use crate::ids::{BenefactorId, ChunkId, FileId};
+use faults::FaultTarget;
 use std::fmt;
 
 /// Errors surfaced by the aggregate store.
@@ -56,6 +57,10 @@ pub enum StoreError {
         have: usize,
         need: usize,
     },
+    /// A fault plan names a component the store does not have: its
+    /// index is not below `have`, the number of such components. The
+    /// plan is rejected when attached, before any of its events fires.
+    NoSuchFaultTarget { target: FaultTarget, have: usize },
 }
 
 impl fmt::Display for StoreError {
@@ -107,6 +112,9 @@ impl fmt::Display for StoreError {
                 "{file} parity group#{group}: only {have} of the {need} \
                  members needed for reconstruction survive"
             ),
+            StoreError::NoSuchFaultTarget { target, have } => {
+                write!(f, "fault plan names {target}, but the store has {have}")
+            }
         }
     }
 }
@@ -158,5 +166,13 @@ mod tests {
         assert!(msg.contains("file#5"), "{msg}");
         assert!(msg.contains("group#3"), "{msg}");
         assert!(msg.contains("2 of the 4"), "{msg}");
+
+        let e = StoreError::NoSuchFaultTarget {
+            target: FaultTarget::Shard(5),
+            have: 2,
+        };
+        let msg = e.to_string();
+        assert!(msg.contains("shard#5"), "{msg}");
+        assert!(msg.contains("has 2"), "{msg}");
     }
 }

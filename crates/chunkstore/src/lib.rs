@@ -57,4 +57,6 @@ pub use manager::{
 };
 pub use rs::RsCode;
 pub use shardmgr::{HashRing, ShardSet, DEFAULT_RING_SEED};
-pub use store::{AggregateStore, BatchWrite, ChunkPayload, RepairReport, ScrubConfig, StoreConfig};
+pub use store::{
+    AggregateStore, BatchWrite, ChunkPayload, ManagerGuard, RepairReport, ScrubConfig, StoreConfig,
+};

@@ -147,13 +147,8 @@ impl ShardSet {
     }
 
     /// Occupy the shard's CPU for one metadata operation arriving at
-    /// `t_req`; returns when the operation's result is ready.
-    pub fn cpu_done(&self, shard: usize, t_req: VTime, busy: VTime) -> VTime {
-        self.cpu_grant(shard, t_req, busy).end
-    }
-
-    /// Like [`ShardSet::cpu_done`], but returns the full grant — the
-    /// causal tracer needs the service *start* too, to split queueing
+    /// `t_req`. The grant's `end` is when the result is ready; the
+    /// causal tracer also needs its service *start*, to split queueing
     /// from service in the `shardmgr.cpu` span.
     pub fn cpu_grant(&self, shard: usize, t_req: VTime, busy: VTime) -> simcore::Grant {
         self.shards[shard].cpu.acquire_at(t_req, busy)
@@ -333,8 +328,8 @@ mod tests {
     fn cpu_queues_fifo() {
         let (s, _) = set(1, VTime::from_secs(1));
         let busy = VTime::from_micros(10);
-        let a = s.cpu_done(0, VTime::ZERO, busy);
-        let b = s.cpu_done(0, VTime::ZERO, busy);
+        let a = s.cpu_grant(0, VTime::ZERO, busy).end;
+        let b = s.cpu_grant(0, VTime::ZERO, busy).end;
         assert_eq!(a, busy);
         assert_eq!(b, busy * 2, "second op waits behind the first");
     }

@@ -16,13 +16,14 @@ use crate::manager::{GroupRef, Manager, PlacementPolicy, Slot, StripeSpec};
 use crate::rs::RsCode;
 use crate::shardmgr::{HashRing, LeaseCounters, ShardSet, DEFAULT_RING_SEED, DEFAULT_VNODES};
 use devices::WearReport;
-use faults::{FaultEvent, FaultPlan};
+use faults::{FaultEvent, FaultPlan, FaultTarget};
 use netsim::{LinkFault, Network};
 use obs::{Layer, MetricsSampler, TraceRecorder, SHARD_LANE_BASE};
 use parking_lot::{Mutex, MutexGuard};
 use simcore::rng::child_seed;
 use simcore::{Counter, StatsRegistry, VTime};
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Aggregate store configuration.
@@ -314,9 +315,8 @@ pub struct RepairReport {
 /// Reusable per-benefactor chain-grouping scratch for
 /// [`AggregateStore::run_chains`], the one fetch/write drain. Flat Vecs
 /// keyed by benefactor index, recycled across calls (taken from and
-/// returned to the store's mutex), so steady-state batch planning
-/// allocates nothing — the previous code built a fresh `BTreeMap` of
-/// `Vec`s per call and popped entries with `remove(0)`.
+/// returned to the store state), so steady-state batch planning
+/// allocates nothing.
 #[derive(Debug, Default)]
 struct ChainScratch {
     /// Per-benefactor chain cursor (completion of its last entry).
@@ -354,8 +354,7 @@ impl ChainScratch {
     }
 
     /// Pop the entry whose chain start `max(cursor, ready[front])` is
-    /// minimal, benefactor id breaking ties — the exact drain order the
-    /// old per-call BTreeMap min-scan produced. Returns the entry's
+    /// minimal, benefactor id breaking ties. Returns the entry's
     /// benefactor, index and chain start time.
     fn pop_min(&mut self, ready: &[VTime]) -> Option<(BenefactorId, usize, VTime)> {
         let mut best: Option<(VTime, usize)> = None;
@@ -380,15 +379,111 @@ impl ChainScratch {
     }
 }
 
+/// A crashed manager rank awaiting standby takeover or reboot.
+#[derive(Clone, Copy, Debug)]
+struct RankDown {
+    /// When the rank crashed, for the time-to-failover counter.
+    crashed_at: VTime,
+    /// Earliest virtual time the standby may complete takeover: crash
+    /// time + `failover_timeout` + journal-replay cost. `None` when the
+    /// rank crashed without HA (waiting for a scheduled `ManagerRecover`).
+    takeover_at: Option<VTime>,
+}
+
+/// Manager-HA runtime state (DESIGN.md §16): one entry per manager rank
+/// (a single rank with the serial manager), `Some` while the rank is
+/// down. Lazily sized on the first manager fault, so fault-free runs
+/// never touch it.
+#[derive(Debug, Default)]
+struct MgrHa {
+    ranks: Vec<Option<RankDown>>,
+}
+
+impl MgrHa {
+    fn ensure(&mut self, ranks: usize) {
+        if self.ranks.len() < ranks {
+            self.ranks.resize(ranks, None);
+        }
+    }
+
+    fn down(&self, rank: usize) -> Option<RankDown> {
+        self.ranks.get(rank).copied().flatten()
+    }
+}
+
+/// Everything the store's manager process owns (PAPER.md §1): metadata,
+/// placement and benefactor status, plus the opt-in subsystems' runtime
+/// state. One lock guards all of it (DESIGN.md §16).
+struct StoreState {
+    mgr: Manager,
+    /// The sharded placement manager (DESIGN.md §12); `None` until
+    /// [`AggregateStore::install_shards`] runs, and with no shard set
+    /// every path uses the serial manager RPC.
+    shards: Option<ShardSet>,
+    /// Manager-HA rank table; empty until a `ManagerCrash` fires.
+    ha: MgrHa,
+    scrub: Option<ScrubState>,
+    faults: Option<FaultPlan>,
+    /// Recycled grouping scratch for `run_chains`.
+    chains: ChainScratch,
+}
+
+impl StoreState {
+    /// Installed placement shards (`0` = serial manager).
+    fn shard_count(&self) -> usize {
+        self.shards.as_ref().map_or(0, ShardSet::len)
+    }
+
+    /// Ring owner of each slot in shard mode; empty with the serial
+    /// manager. Pure local computation — routing costs no RPC.
+    fn slot_owners(&self, slots: impl Iterator<Item = (FileId, usize)>) -> Vec<usize> {
+        self.shards.as_ref().map_or_else(Vec::new, |ss| {
+            slots.map(|(f, i)| ss.ring().owner_of_slot(f, i)).collect()
+        })
+    }
+
+    /// Cold restart of manager rank (or shard) `rank`'s delegations:
+    /// revoke every lease it granted when a shard set exists, bump the
+    /// placement epoch and journal the revocation (a no-op unless HA
+    /// journaling is on) so a replayed rank knows the epoch its lease
+    /// table died at. The bump is what makes revoked clients stop
+    /// trusting their `LocationCache`, so no stale hit survives (the
+    /// `shardmgr_model` proptest pins this).
+    fn revoke_rank(&mut self, rank: usize) {
+        if let Some(ss) = &mut self.shards {
+            ss.revoke_shard(rank);
+        }
+        self.mgr.bump_placement_epoch();
+        self.mgr.journal_revoke(rank);
+    }
+}
+
+/// [`AggregateStore::manager`]'s handle: derefs to the [`Manager`] and
+/// holds the store's lock until dropped.
+pub struct ManagerGuard<'a>(MutexGuard<'a, StoreState>);
+
+impl Deref for ManagerGuard<'_> {
+    type Target = Manager;
+    fn deref(&self) -> &Manager {
+        &self.0.mgr
+    }
+}
+
+impl DerefMut for ManagerGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Manager {
+        &mut self.0.mgr
+    }
+}
+
 /// The aggregate NVM store, shared by every client on the cluster.
 #[derive(Clone)]
 pub struct AggregateStore {
-    mgr: Arc<Mutex<Manager>>,
-    /// Recycled grouping scratch for `run_chains`.
-    chain_scratch: Arc<Mutex<ChainScratch>>,
+    /// The one lock. Never held across `poll_faults` (and so the
+    /// sampler poll), a `run_chains` callback or any call back into
+    /// the store; gauge probes only `try_lock` it.
+    state: Arc<Mutex<StoreState>>,
     net: Network,
     cfg: StoreConfig,
-    faults: Arc<Mutex<Option<FaultPlan>>>,
     mgr_rpcs: Counter,
     mgr_rpc_fetch: Counter,
     mgr_rpc_write: Counter,
@@ -410,16 +505,6 @@ pub struct AggregateStore {
     /// through here only once verification or scrubbing is switched on,
     /// so knobs-off stat snapshots stay byte-identical.
     stats: StatsRegistry,
-    scrub: Arc<Mutex<Option<ScrubState>>>,
-    /// The sharded placement manager (DESIGN.md §12); `None` until
-    /// [`AggregateStore::install_shards`] runs. Like scrub, entirely
-    /// opt-in: with no shard set every path below uses the serial
-    /// manager RPC.
-    shards: Arc<Mutex<Option<ShardSet>>>,
-    /// Manager-HA rank table (DESIGN.md §16). Empty until a
-    /// `ManagerCrash` fault actually fires, so the fault-free fast path
-    /// is one len-check.
-    ha: Arc<Mutex<MgrHa>>,
     trace: TraceRecorder,
     /// Virtual-time gauge sampler (DESIGN.md §14.3), polled at the top of
     /// every timed store operation. Disabled (a single branch) unless the
@@ -427,8 +512,8 @@ pub struct AggregateStore {
     sampler: MetricsSampler,
 }
 
-/// The three metadata-RPC flavours, split out per ISSUE 6 so bench
-/// footers can show *what* the manager is being asked, not just how often.
+/// The three metadata-RPC flavours, split out so bench footers can show
+/// *what* the manager is being asked, not just how often.
 #[derive(Clone, Copy, Debug)]
 enum MgrOp {
     /// Chunk-location resolution for reads.
@@ -445,40 +530,19 @@ fn shard_endpoint(k: usize) -> String {
     format!("shardmgr/{k}")
 }
 
-/// Manager-HA runtime state (DESIGN.md §16), one entry per manager rank
-/// (a single rank with the serial manager). Lazily sized on the first
-/// manager fault, so fault-free runs never touch it.
-#[derive(Debug, Default)]
-struct MgrHa {
-    /// Rank is crashed and not yet taken over / rebooted.
-    down: Vec<bool>,
-    /// Earliest virtual time the standby may complete takeover: crash
-    /// time + `failover_timeout` + journal-replay cost. `None` while the
-    /// rank is up, or when it crashed without HA (waiting for a
-    /// scheduled `ManagerRecover`).
-    takeover_at: Vec<Option<VTime>>,
-    /// When the rank crashed, for the time-to-failover counter.
-    crashed_at: Vec<Option<VTime>>,
-}
-
-impl MgrHa {
-    fn ensure(&mut self, ranks: usize) {
-        if self.down.len() < ranks {
-            self.down.resize(ranks, false);
-            self.takeover_at.resize(ranks, None);
-            self.crashed_at.resize(ranks, None);
-        }
-    }
-}
-
 impl AggregateStore {
     pub fn new(cfg: StoreConfig, net: Network, stats: &StatsRegistry) -> Self {
         let store = AggregateStore {
-            mgr: Arc::new(Mutex::new(Manager::new(cfg.chunk_size))),
-            chain_scratch: Arc::new(Mutex::new(ChainScratch::default())),
+            state: Arc::new(Mutex::new(StoreState {
+                mgr: Manager::new(cfg.chunk_size),
+                shards: None,
+                ha: MgrHa::default(),
+                scrub: None,
+                faults: None,
+                chains: ChainScratch::default(),
+            })),
             net,
             cfg,
-            faults: Arc::new(Mutex::new(None)),
             mgr_rpcs: stats.counter("store.mgr_rpcs"),
             mgr_rpc_fetch: stats.counter("store.mgr_rpc_fetch"),
             mgr_rpc_write: stats.counter("store.mgr_rpc_write"),
@@ -497,9 +561,6 @@ impl AggregateStore {
             batched_fetches: stats.counter("store.batched_fetches"),
             batched_writes: stats.counter("store.batched_writes"),
             stats: stats.clone(),
-            scrub: Arc::new(Mutex::new(None)),
-            shards: Arc::new(Mutex::new(None)),
-            ha: Arc::new(Mutex::new(MgrHa::default())),
             trace: TraceRecorder::disabled(),
             sampler: MetricsSampler::disabled(),
         };
@@ -508,7 +569,7 @@ impl AggregateStore {
         }
         if store.cfg.ha_standby {
             store.register_ha_counters();
-            store.mgr.lock().enable_journal(
+            store.manager().enable_journal(
                 store.cfg.manager_shards.max(1),
                 DEFAULT_VNODES,
                 DEFAULT_RING_SEED,
@@ -575,15 +636,14 @@ impl AggregateStore {
         if !self.sampler.is_enabled() {
             return;
         }
-        // Benefactor free space, in chunk slots. The manager mutex is
-        // never held across an engine yield, so under the baton model
-        // try_lock always succeeds; the fallback keeps a (hypothetical)
-        // contended read from deadlocking a probe fired inside a store op.
-        let mgr = Arc::clone(&self.mgr);
+        // Benefactor free space, in chunk slots. The sampler is polled
+        // only while the state lock is free, so try_lock succeeds; a miss
+        // would re-report the last value rather than deadlock the probe.
+        let state = Arc::clone(&self.state);
         let chunk = self.cfg.chunk_size.max(1);
         self.sampler.register(
             "store.free_slots",
-            Box::new(move |_| mgr.try_lock().map(|m| m.space().1 / chunk)),
+            Box::new(move |_| state.try_lock().map(|st| st.mgr.space().1 / chunk)),
         );
         // Location-cache (lease-delegated placement) hit ratio, permille.
         // No sample until the first lookup happens.
@@ -607,13 +667,13 @@ impl AggregateStore {
             return;
         }
         for k in 0..nshards {
-            let shards = Arc::clone(&self.shards);
+            let state = Arc::clone(&self.state);
             let mgr_cpu = self.cfg.mgr_cpu.as_nanos().max(1);
             self.sampler.register(
                 &format!("store.shard_queue.s{k}"),
                 Box::new(move |now| {
-                    let guard = shards.try_lock()?;
-                    let ss = guard.as_ref()?;
+                    let st = state.try_lock()?;
+                    let ss = st.shards.as_ref()?;
                     let backlog = ss.cpu_next_free(k).saturating_sub(now).as_nanos();
                     Some(backlog.div_ceil(mgr_cpu))
                 }),
@@ -630,41 +690,62 @@ impl AggregateStore {
     }
 
     /// Direct manager access for registration, administration and tests.
-    pub fn manager(&self) -> MutexGuard<'_, Manager> {
-        self.mgr.lock()
+    /// Holds the store's lock until the guard drops.
+    pub fn manager(&self) -> ManagerGuard<'_> {
+        ManagerGuard(self.state.lock())
     }
 
     /// Register a benefactor contributing `capacity` bytes of `node`'s SSD.
     pub fn add_benefactor(&self, b: Benefactor) -> BenefactorId {
-        self.mgr.lock().register_benefactor(b)
+        self.manager().register_benefactor(b)
     }
 
     // ----- fault injection --------------------------------------------------
 
     /// Install a fault plan. Due events are applied at the top of every
     /// timed store operation, so the fleet's state tracks the virtual
-    /// clock without a separate driver process.
-    pub fn attach_faults(&self, plan: FaultPlan) {
-        *self.faults.lock() = Some(plan);
+    /// clock without a separate driver process. A plan naming a
+    /// benefactor, node, shard or manager rank the store does not have
+    /// is rejected with [`StoreError::NoSuchFaultTarget`] and nothing is
+    /// installed.
+    pub fn attach_faults(&self, plan: FaultPlan) -> Result<()> {
+        let mut st = self.state.lock();
+        for fault in plan.events() {
+            let target = fault.event.target();
+            let have = match target {
+                FaultTarget::Benefactor(_) => st.mgr.benefactor_count(),
+                FaultTarget::Node(_) => self.net.nodes(),
+                FaultTarget::Shard(_) => st.shard_count(),
+                FaultTarget::ManagerRank(_) => st.shard_count().max(1),
+            };
+            if target.index() >= have {
+                return Err(StoreError::NoSuchFaultTarget { target, have });
+            }
+        }
+        st.faults = Some(plan);
+        Ok(())
     }
 
     /// Apply every scheduled fault due at or before `t`, then give the
     /// scrub daemon (when attached) a chance to run a due pass — faults
     /// first, so a pass at `t` sees the world as of `t`.
     pub fn poll_faults(&self, t: VTime) {
-        // Sampler first, before any fault/scrub mutation: a sample at the
-        // boundary sees the world as it was when the clock crossed it.
+        // Sampler first, before any fault/scrub mutation and with the
+        // state lock free: a sample at the boundary sees the world as it
+        // was when the clock crossed it.
         self.sampler.poll(t);
-        let due = match self.faults.lock().as_mut() {
-            Some(plan) => plan.due(t),
-            None => Vec::new(),
-        };
-        for fault in due {
-            self.trace
-                .instant(Layer::Fault, fault.event.describe(), fault.at);
-            self.apply_fault(fault.event, fault.at);
+        let mut st = self.state.lock();
+        let due = st.faults.as_mut().map_or_else(Vec::new, |plan| plan.due(t));
+        if !due.is_empty() {
+            drop(st);
+            for fault in due {
+                self.trace
+                    .instant(Layer::Fault, fault.event.describe(), fault.at);
+                self.apply_fault(fault.event, fault.at);
+            }
+            st = self.state.lock();
         }
-        self.poll_scrub(t);
+        self.poll_scrub(&mut st, t);
     }
 
     fn apply_fault(&self, event: FaultEvent, at: VTime) {
@@ -718,8 +799,7 @@ impl AggregateStore {
                 seed,
             } => self.apply_bit_rot(BenefactorId(benefactor), rate_bp, seed),
             FaultEvent::TornWrite { benefactor } => {
-                self.mgr
-                    .lock()
+                self.manager()
                     .benefactor_mut(BenefactorId(benefactor))
                     .arm_torn_write();
             }
@@ -728,8 +808,7 @@ impl AggregateStore {
                 rate_bp,
                 seed,
             } => {
-                self.mgr
-                    .lock()
+                self.manager()
                     .benefactor_mut(BenefactorId(benefactor))
                     .set_corruption_rate(rate_bp, seed);
             }
@@ -746,7 +825,7 @@ impl AggregateStore {
     /// Seed-stable per chunk id, so identical runs rot identical bytes.
     /// Data-only: no virtual time is charged.
     fn apply_bit_rot(&self, b: BenefactorId, rate_bp: u32, seed: u64) {
-        let mut mgr = self.mgr.lock();
+        let mut mgr = self.manager();
         let life = mgr.benefactor(b).ssd().wear().life_consumed;
         let effective_bp = (rate_bp as f64 * (1.0 + life)) as u64;
         for c in mgr.benefactor(b).chunk_ids() {
@@ -759,7 +838,7 @@ impl AggregateStore {
     }
 
     fn set_node_ssd_slowdown(&self, node: usize, factor: f64) {
-        let mgr = self.mgr.lock();
+        let mgr = self.manager();
         for i in 0..mgr.benefactor_count() {
             let b = mgr.benefactor(BenefactorId(i));
             if b.node == node {
@@ -776,8 +855,9 @@ impl AggregateStore {
     pub fn attach_scrub(&self, cfg: ScrubConfig, start_at: VTime) {
         assert!(cfg.chunks_per_pass > 0, "scrub pass must cover chunks");
         self.register_integrity_counters();
-        let n = self.mgr.lock().benefactor_count();
-        *self.scrub.lock() = Some(ScrubState {
+        let mut st = self.state.lock();
+        let n = st.mgr.benefactor_count();
+        st.scrub = Some(ScrubState {
             cfg,
             next_at: start_at,
             busy_until: VTime::ZERO,
@@ -792,9 +872,9 @@ impl AggregateStore {
     /// charges benefactor SSD reads and repair traffic in virtual time,
     /// but never the foreground clock — `poll_faults` returns `()` and the
     /// caller's `t` is unchanged.
-    fn poll_scrub(&self, t: VTime) {
-        let mut guard = self.scrub.lock();
-        let Some(st) = guard.as_mut() else { return };
+    fn poll_scrub(&self, state: &mut StoreState, t: VTime) {
+        let StoreState { mgr, scrub, .. } = state;
+        let Some(st) = scrub.as_mut() else { return };
         if t < st.next_at || t < st.busy_until {
             return;
         }
@@ -802,14 +882,13 @@ impl AggregateStore {
         let mut now = t;
         let mut verified = 0u64;
         let mut repaired = 0u64;
-        let mut mgr = self.mgr.lock();
         let ids = mgr.chunk_ids_sorted();
         if !ids.is_empty() {
             let start = ids.partition_point(|c| c.0 < st.cursor);
             let n = st.cfg.chunks_per_pass.min(ids.len());
             for k in 0..n {
                 let c = ids[(start + k) % ids.len()];
-                now = self.scrub_chunk(&mut mgr, st, c, now, &mut verified, &mut repaired);
+                now = self.scrub_chunk(mgr, st, c, now, &mut verified, &mut repaired);
             }
             let last = ids[(start + n - 1) % ids.len()];
             st.cursor = last.0 + 1;
@@ -817,7 +896,7 @@ impl AggregateStore {
         // Rebuild parity groups as part of the pass: dead-homed members
         // and stale parity are re-encoded from survivors (DESIGN.md §15).
         // A no-op — one metadata scan — when no file is erasure-coded.
-        let (pt, preport) = self.repair_parity_groups_locked(&mut mgr, now);
+        let (pt, preport) = self.repair_parity_groups_locked(mgr, now);
         now = pt;
         repaired += preport.chunks_repaired;
         // Quarantine benefactors whose observed corruption rate crossed
@@ -837,7 +916,6 @@ impl AggregateStore {
                     .instant(Layer::Store, format!("store.quarantine b={i}"), now);
             }
         }
-        drop(mgr);
         self.stats.counter("store.scrub_passes").inc();
         st.busy_until = now;
         // Idle a full interval after the pass *finishes* — scheduling from
@@ -957,7 +1035,7 @@ impl AggregateStore {
     /// disagree with their recorded CRC (bench/test instrumentation —
     /// time-to-repair is "first poll at which this reaches zero").
     pub fn count_corrupt_copies(&self) -> usize {
-        let mgr = self.mgr.lock();
+        let mgr = self.manager();
         let mut n = 0;
         for c in mgr.chunk_ids_sorted() {
             let expected = mgr.chunk_crc(c).expect("chunk without crc");
@@ -992,7 +1070,7 @@ impl AggregateStore {
         let mut t = t;
         let mut attempts = 0;
         loop {
-            if !self.manager_rank_ready(0, t) {
+            if !self.manager_rank_ready(&mut self.state.lock(), 0, t) {
                 if attempts >= self.cfg.fetch_retries {
                     return Err(StoreError::ManagerDown(0));
                 }
@@ -1039,7 +1117,7 @@ impl AggregateStore {
             self.net.register_endpoint(&shard_endpoint(k), node);
         }
         let ring = HashRing::new(nodes.len(), DEFAULT_VNODES, seed);
-        *self.shards.lock() = Some(ShardSet::new(
+        self.state.lock().shards = Some(ShardSet::new(
             ring,
             nodes,
             self.cfg.lease_ttl,
@@ -1052,30 +1130,33 @@ impl AggregateStore {
 
     /// Number of installed placement shards (`0` = serial manager).
     pub fn shards_installed(&self) -> usize {
-        self.shards.lock().as_ref().map_or(0, |s| s.len())
+        self.state.lock().shard_count()
     }
 
     /// Ring owner of a slot key, when shards are installed. Pure local
     /// computation — routing costs no RPC.
     pub fn shard_of_slot(&self, file: FileId, idx: usize) -> Option<usize> {
-        self.shards
+        self.state
             .lock()
+            .shards
             .as_ref()
             .map(|s| s.ring().owner_of_slot(file, idx))
     }
 
     /// Is shard `k` currently alive? (Trivially true with no shard set.)
     pub fn shard_alive(&self, shard: usize) -> bool {
-        self.shards
+        self.state
             .lock()
+            .shards
             .as_ref()
             .is_none_or(|s| s.is_alive(shard))
     }
 
     /// Live leases currently granted by `shard` (tests/benches).
     pub fn shard_leases(&self, shard: usize) -> usize {
-        self.shards
+        self.state
             .lock()
+            .shards
             .as_ref()
             .map_or(0, |s| s.leases_held(shard))
     }
@@ -1084,11 +1165,10 @@ impl AggregateStore {
     /// for each installed shard, in shard order. Empty with no shard set.
     /// Bench footers divide the pair into a mean queue delay.
     pub fn shard_cpu_stats(&self) -> Vec<(VTime, u64)> {
-        let guard = self.shards.lock();
-        let Some(ss) = guard.as_ref() else {
-            return Vec::new();
-        };
-        (0..ss.len()).map(|k| ss.cpu_queue_stats(k)).collect()
+        let st = self.state.lock();
+        st.shards.as_ref().map_or_else(Vec::new, |ss| {
+            (0..ss.len()).map(|k| ss.cpu_queue_stats(k)).collect()
+        })
     }
 
     /// Charge one metadata round-trip to placement shard `shard`. The
@@ -1103,17 +1183,19 @@ impl AggregateStore {
         let mut t = t;
         let mut attempts = 0;
         loop {
-            let alive = self
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
+            let alive = st
                 .shards
-                .lock()
                 .as_ref()
                 .expect("shard RPC without an installed shard set")
                 .is_alive(shard);
             // The shard process may be up while the manager rank hosting
             // it has crashed (DESIGN.md §16) — probe both; the probe also
             // performs a due standby takeover.
-            let rank_ready = self.manager_rank_ready(shard, t);
+            let rank_ready = self.manager_rank_ready(st, shard, t);
             if !alive || !rank_ready {
+                drop(guard);
                 if attempts >= self.cfg.fetch_retries {
                     return Err(if alive {
                         StoreError::ManagerDown(shard)
@@ -1126,10 +1208,8 @@ impl AggregateStore {
                 self.poll_faults(t);
                 continue;
             }
-            let node = self
-                .net
-                .endpoint_node(&shard_endpoint(shard))
-                .expect("shard endpoint registered at install");
+            let ss = st.shards.as_mut().expect("shard set installed");
+            let node = ss.node(shard);
             self.count_mgr_rpc(op);
             let sp = self.trace.span(Layer::Store, "store.mgr_rpc", t);
             sp.arg("client", client_node as u64)
@@ -1137,12 +1217,8 @@ impl AggregateStore {
             let req = self
                 .net
                 .transfer_at(t, client_node, node, self.cfg.rpc_bytes);
-            let grant = {
-                let shards = self.shards.lock();
-                let ss = shards.as_ref().expect("shard set installed");
-                ss.count_rpc(shard);
-                ss.cpu_grant(shard, req.arrived, self.cfg.mgr_cpu)
-            };
+            ss.count_rpc(shard);
+            let grant = ss.cpu_grant(shard, req.arrived, self.cfg.mgr_cpu);
             // Causal mode: the shard's CPU occupancy (queue wait +
             // service) is *remote* work — record it detached on the
             // shard's lane, linked back to this RPC span, so the trace
@@ -1160,15 +1236,10 @@ impl AggregateStore {
                     .arg("queue_ns", grant.queued(req.arrived).as_nanos());
                 cpu_sp.finish(grant.end);
             }
-            let done = grant.end;
             let resp = self
                 .net
-                .transfer_at(done, node, client_node, self.cfg.rpc_bytes);
-            self.shards
-                .lock()
-                .as_mut()
-                .expect("shard set installed")
-                .grant_lease(shard, client_node, resp.arrived);
+                .transfer_at(grant.end, node, client_node, self.cfg.rpc_bytes);
+            ss.grant_lease(shard, client_node, resp.arrived);
             sp.finish(resp.arrived);
             return Ok(resp.arrived);
         }
@@ -1186,17 +1257,9 @@ impl AggregateStore {
         }
     }
 
-    /// Ring owner of each slot in shard mode; empty with the serial
-    /// manager. Pure local computation — routing costs no RPC.
-    fn slot_owners(&self, slots: impl Iterator<Item = (FileId, usize)>) -> Vec<usize> {
-        self.shards.lock().as_ref().map_or_else(Vec::new, |ss| {
-            slots.map(|(f, i)| ss.ring().owner_of_slot(f, i)).collect()
-        })
-    }
-
     /// The resolution round trip(s) for a set of slot entries, issued at
     /// `t`. `need` says, per entry, whether it must consult the manager;
-    /// `owners` is [`Self::slot_owners`] of the entries. The serial
+    /// `owners` is [`StoreState::slot_owners`] of the entries. The serial
     /// manager takes one RPC when any entry needs it. In shard mode each
     /// owning shard of a needy entry takes one, all issued concurrently
     /// from `t` (they queue on *different* shard CPUs, which is the whole
@@ -1250,7 +1313,7 @@ impl AggregateStore {
         fleet: usize,
         mut run: impl FnMut(usize, VTime) -> Result<VTime>,
     ) -> Result<()> {
-        let mut scratch = std::mem::take(&mut *self.chain_scratch.lock());
+        let mut scratch = std::mem::take(&mut self.state.lock().chains);
         scratch.begin(fleet);
         for i in 0..times.len() {
             if let Some(home) = key(i) {
@@ -1264,7 +1327,7 @@ impl AggregateStore {
             scratch.set_cursor(home, end);
             times[i] = end;
         }
-        *self.chain_scratch.lock() = scratch;
+        self.state.lock().chains = scratch;
         for (i, at) in times.iter_mut().enumerate() {
             if key(i).is_none() {
                 *at = run(i, *at)?;
@@ -1278,7 +1341,7 @@ impl AggregateStore {
     pub fn create_file(&self, t: VTime, client_node: usize, name: &str) -> Result<(VTime, FileId)> {
         self.poll_faults(t);
         let t = self.namespace_rpc(t, client_node)?;
-        let id = self.mgr.lock().create_file(name)?;
+        let id = self.manager().create_file(name)?;
         Ok((t, id))
     }
 
@@ -1297,7 +1360,7 @@ impl AggregateStore {
             self.register_parity_counters();
         }
         let t = self.namespace_rpc(t, client_node)?;
-        self.mgr.lock().fallocate(file, size, spec, placement)?;
+        self.manager().fallocate(file, size, spec, placement)?;
         Ok(t)
     }
 
@@ -1309,13 +1372,13 @@ impl AggregateStore {
     ) -> Result<(VTime, Option<FileId>)> {
         self.poll_faults(t);
         let t = self.namespace_rpc(t, client_node)?;
-        Ok((t, self.mgr.lock().lookup(name)))
+        Ok((t, self.manager().lookup(name)))
     }
 
     pub fn delete(&self, t: VTime, client_node: usize, file: FileId) -> Result<VTime> {
         self.poll_faults(t);
         let t = self.namespace_rpc(t, client_node)?;
-        self.mgr.lock().delete_file(file)?;
+        self.manager().delete_file(file)?;
         Ok(t)
     }
 
@@ -1329,17 +1392,17 @@ impl AggregateStore {
     ) -> Result<VTime> {
         self.poll_faults(t);
         let t = self.namespace_rpc(t, client_node)?;
-        self.mgr.lock().link_file(dst, src)?;
+        self.manager().link_file(dst, src)?;
         Ok(t)
     }
 
     /// Untimed metadata peek (clients cache sizes at open/malloc time).
     pub fn file_size(&self, file: FileId) -> Result<u64> {
-        Ok(self.mgr.lock().file(file)?.size)
+        Ok(self.manager().file(file)?.size)
     }
 
     pub fn chunk_count(&self, file: FileId) -> Result<usize> {
-        Ok(self.mgr.lock().file(file)?.slots.len())
+        Ok(self.manager().file(file)?.slots.len())
     }
 
     // ----- data plane ------------------------------------------------------
@@ -1402,100 +1465,88 @@ impl AggregateStore {
         let mut attempts = 0;
         let mut known_bad: Vec<BenefactorId> = Vec::new();
         loop {
-            let pick = {
-                let mgr = self.mgr.lock();
-                let homes = mgr.chunk_homes(c).expect("chunk without home");
+            let mgr = self.manager();
+            let homes = mgr.chunk_homes(c).expect("chunk without home");
+            let serviceable = homes.iter().enumerate().find(|(_, &h)| {
+                !known_bad.contains(&h)
+                    && mgr.benefactor(h).is_alive()
+                    && self.net.reachable(mgr.benefactor(h).node, client_node)
+            });
+            let Some((rank, &home)) = serviceable else {
+                // An erasure-coded member with no serviceable copy is
+                // reconstructed from its group's survivors right here in
+                // the retry loop — reconstruction *is* the failover
+                // (DESIGN.md §15). Only if too few members survive does
+                // the read fall back to backing off (a scheduled recovery
+                // may revive a survivor) and finally report
+                // `InsufficientSurvivors`.
                 let primary = homes[0];
-                let serviceable = homes.iter().enumerate().find(|(_, &h)| {
-                    !known_bad.contains(&h)
-                        && mgr.benefactor(h).is_alive()
-                        && self.net.reachable(mgr.benefactor(h).node, client_node)
-                });
-                match serviceable {
-                    Some((rank, &h)) => Ok((rank, h, mgr.benefactor(h).node)),
-                    None => Err(primary),
-                }
-            };
-            match pick {
-                Ok((rank, home, home_node)) => {
-                    // Request message to the benefactor…
-                    let req = self
-                        .net
-                        .transfer_at(t, client_node, home_node, self.cfg.rpc_bytes);
-                    // …SSD read at the benefactor…
-                    let (grant, data) = {
-                        let mgr = self.mgr.lock();
-                        mgr.benefactor(home).read_chunk(req.arrived, c)
-                    };
-                    // …chunk shipped back.
-                    let resp = self.net.transfer_at(
-                        grant.end,
-                        home_node,
-                        client_node,
-                        self.cfg.chunk_size,
-                    );
-                    self.bytes_to_clients.add(self.cfg.chunk_size);
-                    if self.cfg.verify_reads {
-                        let expected = self.mgr.lock().chunk_crc(c).expect("chunk without crc");
-                        if crc64(&data) != expected {
-                            self.stats.counter("store.crc_mismatches").inc();
-                            self.trace.instant(
-                                Layer::Store,
-                                format!("store.crc_mismatch c={} b={}", c.0, home.0),
-                                resp.arrived,
-                            );
-                            self.quarantine_copy(c, home);
-                            known_bad.push(home);
-                            t = resp.arrived;
-                            continue;
-                        }
-                    }
-                    let was_degraded =
-                        degraded || rank > 0 || attempts > 0 || !known_bad.is_empty();
-                    if was_degraded {
-                        self.failovers.inc();
-                        self.degraded_reads.inc();
-                    }
-                    return Ok(FetchOutcome {
-                        end: resp.arrived,
-                        data,
-                        home,
-                        node: home_node,
-                        degraded: was_degraded,
-                    });
-                }
-                Err(primary) => {
-                    // An erasure-coded member with no serviceable copy is
-                    // reconstructed from its group's survivors right here
-                    // in the retry loop — reconstruction *is* the
-                    // failover (DESIGN.md §15). Only if too few members
-                    // survive does the read fall back to backing off (a
-                    // scheduled recovery may revive a survivor) and
-                    // finally report `InsufficientSurvivors`.
-                    let gref = self.mgr.lock().group_of_chunk(c);
-                    if let Some(gref) = gref {
-                        match self.reconstruct_member(t, client_node, gref, c) {
-                            Ok(out) => return Ok(out),
-                            Err(e) => {
-                                if attempts >= self.cfg.fetch_retries {
-                                    return Err(e);
-                                }
+                let gref = mgr.group_of_chunk(c);
+                drop(mgr);
+                if let Some(gref) = gref {
+                    match self.reconstruct_member(t, client_node, gref, c) {
+                        Ok(out) => return Ok(out),
+                        Err(e) => {
+                            if attempts >= self.cfg.fetch_retries {
+                                return Err(e);
                             }
                         }
-                    } else if attempts >= self.cfg.fetch_retries {
-                        return Err(match known_bad.last() {
-                            Some(&b) => StoreError::ChunkCorrupt {
-                                chunk: c,
-                                benefactor: b,
-                            },
-                            None => StoreError::BenefactorDown(primary),
-                        });
                     }
-                    attempts += 1;
-                    t += self.cfg.retry_backoff;
-                    self.poll_faults(t);
+                } else if attempts >= self.cfg.fetch_retries {
+                    return Err(match known_bad.last() {
+                        Some(&b) => StoreError::ChunkCorrupt {
+                            chunk: c,
+                            benefactor: b,
+                        },
+                        None => StoreError::BenefactorDown(primary),
+                    });
                 }
+                attempts += 1;
+                t += self.cfg.retry_backoff;
+                self.poll_faults(t);
+                continue;
+            };
+            let home_node = mgr.benefactor(home).node;
+            // Request message to the benefactor…
+            let req = self
+                .net
+                .transfer_at(t, client_node, home_node, self.cfg.rpc_bytes);
+            // …SSD read at the benefactor…
+            let (grant, data) = mgr.benefactor(home).read_chunk(req.arrived, c);
+            let expected = self
+                .cfg
+                .verify_reads
+                .then(|| mgr.chunk_crc(c).expect("chunk without crc"));
+            drop(mgr);
+            // …chunk shipped back.
+            let resp = self
+                .net
+                .transfer_at(grant.end, home_node, client_node, self.cfg.chunk_size);
+            self.bytes_to_clients.add(self.cfg.chunk_size);
+            if expected.is_some_and(|crc| crc64(&data) != crc) {
+                self.stats.counter("store.crc_mismatches").inc();
+                self.trace.instant(
+                    Layer::Store,
+                    format!("store.crc_mismatch c={} b={}", c.0, home.0),
+                    resp.arrived,
+                );
+                self.quarantine_copy(c, home);
+                known_bad.push(home);
+                t = resp.arrived;
+                continue;
             }
+            let was_degraded = degraded || rank > 0 || attempts > 0 || !known_bad.is_empty();
+            if was_degraded {
+                self.failovers.inc();
+                self.degraded_reads.inc();
+            }
+            return Ok(FetchOutcome {
+                end: resp.arrived,
+                data,
+                home,
+                node: home_node,
+                degraded: was_degraded,
+            });
         }
     }
 
@@ -1506,7 +1557,7 @@ impl AggregateStore {
     /// least one home — but callers track it as known-bad and report
     /// [`StoreError::ChunkCorrupt`] rather than serve it.
     fn quarantine_copy(&self, c: ChunkId, home: BenefactorId) {
-        let mut mgr = self.mgr.lock();
+        let mut mgr = self.manager();
         if mgr.chunk_homes(c).expect("chunk listed").len() > 1 {
             mgr.remove_chunk_home(c, home);
             mgr.benefactor_mut(home).drop_chunk(c);
@@ -1606,14 +1657,11 @@ impl AggregateStore {
         lost: ChunkId,
     ) -> Result<FetchOutcome> {
         let chunk_size = self.cfg.chunk_size;
-        let (k, m, picks, primary, primary_node, expected) = {
-            let mgr = self.mgr.lock();
-            let (k, m, picks) = self.survivors_for(&mgr, gref)?;
-            let primary = mgr.chunk_home(lost).expect("chunk without home");
-            let expected = mgr.chunk_crc(lost).expect("chunk without crc");
-            (k, m, picks, primary, mgr.benefactor(primary).node, expected)
-        };
-
+        let mgr = self.manager();
+        let (k, m, picks) = self.survivors_for(&mgr, gref)?;
+        let primary = mgr.chunk_home(lost).expect("chunk without home");
+        let primary_node = mgr.benefactor(primary).node;
+        let expected = mgr.chunk_crc(lost).expect("chunk without crc");
         let mut end = t;
         let mut reads: Vec<(usize, ChunkBuf)> = Vec::with_capacity(k);
         let mut zero_members: Vec<usize> = Vec::new();
@@ -1625,14 +1673,11 @@ impl AggregateStore {
                     chunk,
                     home,
                 } => {
-                    let node = self.mgr.lock().benefactor(home).node;
+                    let node = mgr.benefactor(home).node;
                     let req = self
                         .net
                         .transfer_at(t, client_node, node, self.cfg.rpc_bytes);
-                    let (grant, data) = {
-                        let mgr = self.mgr.lock();
-                        mgr.benefactor(home).read_chunk(req.arrived, chunk)
-                    };
+                    let (grant, data) = mgr.benefactor(home).read_chunk(req.arrived, chunk);
                     let resp = self
                         .net
                         .transfer_at(grant.end, node, client_node, chunk_size);
@@ -1642,6 +1687,7 @@ impl AggregateStore {
                 }
             }
         }
+        drop(mgr);
 
         let zeros = vec![0u8; chunk_size as usize];
         let mut present: Vec<(usize, &[u8])> = Vec::with_capacity(k);
@@ -1756,31 +1802,31 @@ impl AggregateStore {
         // (DESIGN.md §12) — an unleased target is forced to the shard
         // even when cached. With one shard and a held lease the gate
         // never fires, so counters stay identical to the serial manager.
-        let owners = self.slot_owners(targets.iter().copied());
-        let mut entries: Vec<Entry> = match cache {
-            None => targets.iter().map(|_| entry(None)).collect(),
-            Some(cache) => {
-                let epoch = self.mgr.lock().placement_epoch();
-                let mut shards = self.shards.lock();
-                match shards.as_mut() {
-                    None => targets
-                        .iter()
-                        .map(|&key| entry(cache.lookup(epoch, key)))
-                        .collect(),
-                    Some(ss) => targets
-                        .iter()
-                        .zip(&owners)
-                        .map(|(&key, &owner)| {
-                            if ss.check_lease(owner, client_node, t) {
-                                entry(cache.lookup(epoch, key))
-                            } else {
-                                cache.note_unleased_miss(epoch, key);
-                                entry(None)
-                            }
-                        })
-                        .collect(),
-                }
-            }
+        let (owners, mut entries) = {
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
+            let owners = st.slot_owners(targets.iter().copied());
+            let epoch = st.mgr.placement_epoch();
+            let entries: Vec<Entry> = match (cache, st.shards.as_mut()) {
+                (None, _) => targets.iter().map(|_| entry(None)).collect(),
+                (Some(cache), None) => targets
+                    .iter()
+                    .map(|&key| entry(cache.lookup(epoch, key)))
+                    .collect(),
+                (Some(cache), Some(ss)) => targets
+                    .iter()
+                    .zip(&owners)
+                    .map(|(&key, &owner)| {
+                        if ss.check_lease(owner, client_node, t) {
+                            entry(cache.lookup(epoch, key))
+                        } else {
+                            cache.note_unleased_miss(epoch, key);
+                            entry(None)
+                        }
+                    })
+                    .collect(),
+            };
+            (owners, entries)
         };
 
         // One shared RPC covers every unresolved target (one per owning
@@ -1793,7 +1839,7 @@ impl AggregateStore {
         // Resolve the rest against the manager (refreshing the cache) and
         // plan every entry.
         let fleet = {
-            let mgr = self.mgr.lock();
+            let mgr = self.manager();
             let epoch = mgr.placement_epoch();
             for (&(file, idx), e) in targets.iter().zip(&mut entries) {
                 if e.loc.is_none() {
@@ -1906,7 +1952,7 @@ impl AggregateStore {
         self.poll_faults(t);
         let sp = self.trace.span(Layer::Store, "store.write_pages", t);
         sp.arg("file", file.0).arg("idx", idx as u64);
-        let owners = self.slot_owners(std::iter::once((file, idx)));
+        let owners = self.state.lock().slot_owners(std::iter::once((file, idx)));
         let need = std::iter::once(true);
         let t = self.resolve_rpcs(t, client_node, &owners, need, MgrOp::Write)?[0];
         let end = self.write_pages_inner(t, client_node, file, idx, updates, None)?;
@@ -1945,7 +1991,10 @@ impl AggregateStore {
 
         // Writes are placement mutations: every entry reaches the
         // authoritative manager or shard — no lease shortcut.
-        let owners = self.slot_owners(entries.iter().map(|e| (e.file, e.idx)));
+        let owners = self
+            .state
+            .lock()
+            .slot_owners(entries.iter().map(|e| (e.file, e.idx)));
         let need = entries.iter().map(|_| true);
         let mut ends = self.resolve_rpcs(t, client_node, &owners, need, MgrOp::Write)?;
 
@@ -1955,7 +2004,7 @@ impl AggregateStore {
         // Entries with no live home at batch time (they error, or — for
         // holes — allocate wherever space remains) run unchained.
         let (keys, fleet): (Vec<Option<BenefactorId>>, usize) = {
-            let mgr = self.mgr.lock();
+            let mgr = self.manager();
             let keys = entries
                 .iter()
                 .map(|e| Self::primary_live_home(&mgr, e.file, e.idx))
@@ -1990,7 +2039,7 @@ impl AggregateStore {
         // puts 2k = 8.
         if !pbatch.groups.is_empty() {
             let flush_at = ends.iter().copied().max().unwrap_or(t);
-            let mut mgr = self.mgr.lock();
+            let mut mgr = self.manager();
             for ((file, group), gd) in std::mem::take(&mut pbatch.groups) {
                 let spans = merge_spans(gd.spans);
                 let deltas: Vec<Vec<(u64, &[u8])>> = gd
@@ -2065,7 +2114,7 @@ impl AggregateStore {
         defer: Option<(usize, &mut ParityBatch)>,
     ) -> Result<VTime> {
         let dirty_bytes: u64 = updates.iter().map(|(_, d)| d.len() as u64).sum();
-        let mut mgr = self.mgr.lock();
+        let mut mgr = self.manager();
         let meta = mgr.file(file)?;
         if idx >= meta.slots.len() {
             return Err(StoreError::OutOfBounds {
@@ -2558,7 +2607,7 @@ impl AggregateStore {
     /// reconciles the benefactor's disk against the metadata: chunks that
     /// were re-homed while it was down are stale there and get dropped.
     pub fn set_benefactor_alive(&self, id: BenefactorId, alive: bool) {
-        let mut mgr = self.mgr.lock();
+        let mut mgr = self.manager();
         if mgr.benefactor(id).is_alive() == alive {
             return;
         }
@@ -2582,34 +2631,15 @@ impl AggregateStore {
     /// client can keep serving resolutions the reborn shard no longer
     /// vouches for. A no-op without an installed shard set.
     pub fn set_shard_alive(&self, shard: usize, alive: bool) {
-        let mut guard = self.shards.lock();
-        let Some(ss) = guard.as_mut() else { return };
+        let mut st = self.state.lock();
+        let Some(ss) = st.shards.as_mut() else { return };
         if ss.is_alive(shard) == alive {
             return;
         }
         ss.set_alive(shard, alive);
-        drop(guard);
         if alive {
-            self.revoke_shard_leases(shard);
+            st.revoke_rank(shard);
         }
-    }
-
-    /// Revoke every lease `shard` has granted and bump the placement
-    /// epoch. The pairing is load-bearing: the epoch bump is what makes
-    /// revoked clients stop trusting their `LocationCache`, so no stale
-    /// hit can survive a revoke (the `shardmgr_model` proptest pins
-    /// this). Returns the number of leases revoked.
-    pub fn revoke_shard_leases(&self, shard: usize) -> usize {
-        let n = match self.shards.lock().as_mut() {
-            Some(ss) => ss.revoke_shard(shard),
-            None => return 0,
-        };
-        let mut mgr = self.mgr.lock();
-        mgr.bump_placement_epoch();
-        // Journal the revocation (no-op unless HA journaling is on) so a
-        // replayed shard knows the epoch its lease table died at.
-        mgr.journal_revoke(shard);
-        n
     }
 
     /// Simulate a manager-rank crash or reboot (DESIGN.md §16). `rank`
@@ -2623,54 +2653,37 @@ impl AggregateStore {
     /// epoch, exactly like a shard cold restart. A reboot after the
     /// standby already took over just rejoins as the new standby.
     pub fn set_manager_alive(&self, rank: usize, alive: bool, at: VTime) {
-        let ranks = self.shards_installed().max(1).max(rank + 1);
-        // Compute replay cost outside the HA lock (lock order: ha → mgr
-        // is never taken; mgr and shards locks come after ha drops).
-        let lane_records = self
-            .mgr
-            .lock()
-            .journal()
-            .map_or(0, |j| j.lane(rank.min(j.lanes() - 1)).records());
-        let mut ha = self.ha.lock();
-        ha.ensure(ranks);
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        st.ha.ensure(st.shard_count().max(1).max(rank + 1));
+        let slot = &mut st.ha.ranks[rank];
         if alive {
-            if !ha.down[rank] {
-                // Rebooted after the standby already took over: the old
-                // primary rejoins as the new standby (promote_standby
-                // parked its node there) — nothing else to do.
-                return;
+            // A rank the standby already took over is up: the rebooted
+            // ex-primary rejoins as the new standby (promote_standby
+            // parked its node there) and nothing else happens. Otherwise
+            // this is a cold restart: no pre-crash delegation survives.
+            if slot.take().is_some() {
+                st.revoke_rank(rank);
             }
-            ha.down[rank] = false;
-            ha.takeover_at[rank] = None;
-            ha.crashed_at[rank] = None;
-            drop(ha);
-            // Cold restart: no pre-crash delegation survives the reboot.
-            self.revoke_shard_leases(rank);
-            if self.shards_installed() == 0 {
-                let mut mgr = self.mgr.lock();
-                mgr.bump_placement_epoch();
-                mgr.journal_revoke(rank);
-            }
-        } else {
-            if ha.down[rank] {
-                return;
-            }
-            ha.down[rank] = true;
-            ha.crashed_at[rank] = Some(at);
-            ha.takeover_at[rank] = if self.cfg.ha_standby {
-                let replay =
-                    VTime::from_nanos(self.cfg.replay_record_cpu.as_nanos() * lane_records);
-                Some(at + self.cfg.failover_timeout + replay)
-            } else {
-                None
-            };
+        } else if slot.is_none() {
+            let takeover_at = self.cfg.ha_standby.then(|| {
+                let records = st
+                    .mgr
+                    .journal()
+                    .map_or(0, |j| j.lane(rank.min(j.lanes() - 1)).records());
+                let replay = VTime::from_nanos(self.cfg.replay_record_cpu.as_nanos() * records);
+                at + self.cfg.failover_timeout + replay
+            });
+            *slot = Some(RankDown {
+                crashed_at: at,
+                takeover_at,
+            });
         }
     }
 
     /// Is manager rank `rank` down right now? (Tests/benches.)
     pub fn manager_rank_down(&self, rank: usize) -> bool {
-        let ha = self.ha.lock();
-        rank < ha.down.len() && ha.down[rank]
+        self.state.lock().ha.down(rank).is_some()
     }
 
     /// Is manager rank `rank` serving at `t`? Drives standby takeover:
@@ -2678,52 +2691,40 @@ impl AggregateStore {
     /// performs the failover (journal replay + promotion + lease
     /// revocation) and reports the rank back up. Trivially true when no
     /// manager fault ever fired — the rank table stays empty.
-    fn manager_rank_ready(&self, rank: usize, t: VTime) -> bool {
-        let takeover = {
-            let ha = self.ha.lock();
-            if rank >= ha.down.len() || !ha.down[rank] {
-                return true;
-            }
-            match ha.takeover_at[rank] {
-                Some(due) if t >= due => due,
-                _ => return false,
-            }
+    fn manager_rank_ready(&self, st: &mut StoreState, rank: usize, t: VTime) -> bool {
+        let Some(down) = st.ha.down(rank) else {
+            return true;
         };
-        self.failover_manager(rank, takeover);
-        true
+        match down.takeover_at {
+            Some(due) if t >= due => {
+                st.ha.ranks[rank] = None;
+                self.failover_manager(st, rank, down.crashed_at, due);
+                true
+            }
+            _ => false,
+        }
     }
 
-    /// Standby takeover of manager rank `rank` at `at` (DESIGN.md §16):
-    /// unload the rank's journal lane as a superblock + log image,
-    /// scan-and-repair and replay it (rebuilding slot bitmaps through
-    /// `BitAlloc::from_leaf`), verify the replayed metadata against the
-    /// live fleet, promote the standby to serving rank, and revoke every
-    /// pre-crash lease with a placement-epoch bump so the
-    /// `LocationCache` cannot serve a stale placement.
-    fn failover_manager(&self, rank: usize, at: VTime) {
-        let crashed = {
-            let mut ha = self.ha.lock();
-            if !ha.down[rank] {
-                return; // a racing probe already promoted
-            }
-            ha.down[rank] = false;
-            ha.takeover_at[rank] = None;
-            ha.crashed_at[rank].take().expect("crash time recorded")
-        };
+    /// Standby takeover at `at` of manager rank `rank`, down since
+    /// `crashed` (DESIGN.md §16): unload the rank's journal lane as a
+    /// superblock + log image, scan-and-repair and replay it (rebuilding
+    /// slot bitmaps through `BitAlloc::from_leaf`), verify the replayed
+    /// metadata against the live fleet, promote the standby to serving
+    /// rank, and revoke every pre-crash lease with a placement-epoch bump
+    /// so the `LocationCache` cannot serve a stale placement.
+    fn failover_manager(&self, st: &mut StoreState, rank: usize, crashed: VTime, at: VTime) {
         // The real recovery path, not a shortcut: serialize the lane,
         // decode it back through scan-and-repair, replay, and verify the
         // replayed metadata one-sided against the live fleet.
-        {
-            let mgr = self.mgr.lock();
-            let image = mgr
-                .unload_journal(rank)
-                .expect("HA standby requires journaling");
-            let (sb, meta, repair) =
-                crate::journal::load_image(&image).expect("self-written image decodes");
-            assert!(!repair.torn, "a just-unloaded image has no torn tail");
-            assert_eq!(sb.records, repair.records, "superblock counts its log");
-            mgr.verify_replayed(&meta);
-        }
+        let image = st
+            .mgr
+            .unload_journal(rank)
+            .expect("HA standby requires journaling");
+        let (sb, meta, repair) =
+            crate::journal::load_image(&image).expect("self-written image decodes");
+        assert!(!repair.torn, "a just-unloaded image has no torn tail");
+        assert_eq!(sb.records, repair.records, "superblock counts its log");
+        st.mgr.verify_replayed(&meta);
         self.stats.counter("store.journal_replays").inc();
         self.stats.counter("store.mgr_failovers").inc();
         self.stats
@@ -2731,23 +2732,12 @@ impl AggregateStore {
             .add((at - crashed).as_nanos() / 1_000);
         // Sharded mode: the standby's node takes over the rank's RPC
         // endpoint. Serial mode models the standby at the manager node.
-        let promoted = self
-            .shards
-            .lock()
-            .as_mut()
-            .and_then(|ss| ss.promote_standby(rank));
-        if let Some(node) = promoted {
+        if let Some(node) = st.shards.as_mut().and_then(|ss| ss.promote_standby(rank)) {
             self.net.register_endpoint(&shard_endpoint(rank), node);
         }
         // No pre-crash delegation survives the takeover: the standby's
-        // lease table is cold. The epoch bump rides along (and is
-        // journaled), so revoked clients stop trusting their caches.
-        self.revoke_shard_leases(rank);
-        if self.shards_installed() == 0 {
-            let mut mgr = self.mgr.lock();
-            mgr.bump_placement_epoch();
-            mgr.journal_revoke(rank);
-        }
+        // lease table is cold.
+        st.revoke_rank(rank);
         self.trace
             .instant(Layer::Fault, format!("store.mgr_failover m={rank}"), at);
     }
@@ -2756,8 +2746,9 @@ impl AggregateStore {
     /// `k`'s standby. Call after [`Self::install_shards`]; cluster
     /// builds wire this when `ha_standby` is set.
     pub fn set_standby_nodes(&self, nodes: &[usize]) {
-        let mut guard = self.shards.lock();
-        let ss = guard
+        let mut st = self.state.lock();
+        let ss = st
+            .shards
             .as_mut()
             .expect("standbys require an installed shard set");
         assert_eq!(nodes.len(), ss.len(), "one standby per shard");
@@ -2778,10 +2769,10 @@ impl AggregateStore {
         let sp = self.trace.span(Layer::Store, "store.repair", t);
         let mut t = t;
         let mut report = RepairReport::default();
-        let work = self.mgr.lock().under_replicated();
+        let work = self.manager().under_replicated();
         for (c, _, missing) in work {
             for _ in 0..missing {
-                let mut mgr = self.mgr.lock();
+                let mut mgr = self.manager();
                 // Re-read the home list: earlier copies in this sweep (or
                 // a racing write) may have changed it.
                 let homes: Vec<BenefactorId> = match mgr.chunk_homes(c) {
@@ -2935,7 +2926,7 @@ impl AggregateStore {
     pub fn repair_parity_groups(&self, t: VTime) -> (VTime, RepairReport) {
         self.poll_faults(t);
         let sp = self.trace.span(Layer::Store, "store.parity_repair", t);
-        let mut mgr = self.mgr.lock();
+        let mut mgr = self.manager();
         let (end, report) = self.repair_parity_groups_locked(&mut mgr, t);
         drop(mgr);
         sp.arg("repaired", report.chunks_repaired)
@@ -2945,7 +2936,7 @@ impl AggregateStore {
     }
 
     /// The sweep body, callable from inside the scrub pass (which already
-    /// holds the manager lock).
+    /// holds the store state).
     fn repair_parity_groups_locked(&self, mgr: &mut Manager, t: VTime) -> (VTime, RepairReport) {
         let mut now = t;
         let mut report = RepairReport::default();
@@ -3140,7 +3131,7 @@ impl AggregateStore {
 
     /// Per-benefactor SSD wear, for the lifetime-optimization analyses.
     pub fn wear_reports(&self) -> Vec<(usize, WearReport)> {
-        let mgr = self.mgr.lock();
+        let mgr = self.manager();
         (0..mgr.benefactor_count())
             .map(|i| {
                 let b = mgr.benefactor(BenefactorId(i));
@@ -3522,11 +3513,13 @@ mod tests {
         let t = store
             .write_pages(VTime::ZERO, client, f, 0, &[(0, &page)])
             .unwrap();
-        store.attach_faults(
-            faults::FaultPlanBuilder::new(42)
-                .crash(t + VTime::from_millis(1), 0)
-                .build(),
-        );
+        store
+            .attach_faults(
+                faults::FaultPlanBuilder::new(42)
+                    .crash(t + VTime::from_millis(1), 0)
+                    .build(),
+            )
+            .unwrap();
         // Before the scheduled crash: clean read from the primary.
         let (_, p1) = store.fetch_chunk(t, client, f, 0).unwrap();
         assert_eq!(stats.get("store.failovers"), 0);
@@ -3550,11 +3543,13 @@ mod tests {
             .unwrap();
         store.set_benefactor_alive(BenefactorId(0), false);
         // A recovery lands within the retry window (default 2 × 5 ms).
-        store.attach_faults(
-            faults::FaultPlanBuilder::new(7)
-                .recover(t + VTime::from_millis(8), 0)
-                .build(),
-        );
+        store
+            .attach_faults(
+                faults::FaultPlanBuilder::new(7)
+                    .recover(t + VTime::from_millis(8), 0)
+                    .build(),
+            )
+            .unwrap();
         let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
         assert!(matches!(payload, ChunkPayload::Data(_)));
         assert_eq!(stats.get("store.benefactor_recoveries"), 1);
@@ -3660,11 +3655,13 @@ mod tests {
         let (store, _) = store_verify(1);
         let client = 2;
         let f = make_file_replicated(&store, client, "/m", CHUNK, 1);
-        store.attach_faults(
-            faults::FaultPlanBuilder::new(11)
-                .torn_write(VTime::from_micros(1), 0)
-                .build(),
-        );
+        store
+            .attach_faults(
+                faults::FaultPlanBuilder::new(11)
+                    .torn_write(VTime::from_micros(1), 0)
+                    .build(),
+            )
+            .unwrap();
         // The write happens after the tear is armed: only the first half
         // of the chunk lands, but the manager recorded the intended CRC.
         let data = vec![3u8; CHUNK as usize];
@@ -3744,11 +3741,13 @@ mod tests {
         let reader = data_of(p);
 
         // Seeded bit rot on the primary's benefactor.
-        store.attach_faults(
-            faults::FaultPlanBuilder::new(3)
-                .bit_rot(t + VTime::from_micros(1), homes[0].0, 10_000)
-                .build(),
-        );
+        store
+            .attach_faults(
+                faults::FaultPlanBuilder::new(3)
+                    .bit_rot(t + VTime::from_micros(1), homes[0].0, 10_000)
+                    .build(),
+            )
+            .unwrap();
         store.poll_faults(t + VTime::from_micros(2));
         assert_eq!(store.count_corrupt_copies(), 1, "only the primary rotted");
         assert!(reader[..4096].iter().all(|&x| x == 6));
@@ -3785,11 +3784,13 @@ mod tests {
             t = store.write_pages(t, client, f, idx, &[(0, &page)]).unwrap();
         }
         // Rot every copy on benefactor 0 (rate 10000 bp = certain).
-        store.attach_faults(
-            faults::FaultPlanBuilder::new(21)
-                .bit_rot(t + VTime::from_micros(1), 0, 10_000)
-                .build(),
-        );
+        store
+            .attach_faults(
+                faults::FaultPlanBuilder::new(21)
+                    .bit_rot(t + VTime::from_micros(1), 0, 10_000)
+                    .build(),
+            )
+            .unwrap();
         store.attach_scrub(
             ScrubConfig {
                 interval: VTime::from_millis(1),
@@ -3819,11 +3820,13 @@ mod tests {
         let (store, stats) = store_verify(3);
         let client = 4;
         // Benefactor 0's media corrupts every write it takes.
-        store.attach_faults(
-            faults::FaultPlanBuilder::new(31)
-                .corruption_rate(VTime::from_micros(1), 0, 10_000)
-                .build(),
-        );
+        store
+            .attach_faults(
+                faults::FaultPlanBuilder::new(31)
+                    .corruption_rate(VTime::from_micros(1), 0, 10_000)
+                    .build(),
+            )
+            .unwrap();
         let f = make_file_replicated(&store, client, "/m", 4 * CHUNK, 2);
         let page = vec![1u8; 4096];
         let mut t = VTime::from_micros(2);
@@ -4214,11 +4217,13 @@ mod tests {
             .find(|&i| store.shard_of_slot(f, i) == Some(1))
             .expect("shard 1 owns a slot");
         store.set_shard_alive(1, false);
-        store.attach_faults(
-            faults::FaultPlanBuilder::new(7)
-                .shard_recover(t + store.config().retry_backoff, 1)
-                .build(),
-        );
+        store
+            .attach_faults(
+                faults::FaultPlanBuilder::new(7)
+                    .shard_recover(t + store.config().retry_backoff, 1)
+                    .build(),
+            )
+            .unwrap();
         let (t2, payload) = store.fetch_chunk(t, client, f, slot).unwrap();
         assert!(matches!(payload, ChunkPayload::Data(_)));
         assert!(
@@ -4517,11 +4522,13 @@ mod tests {
             .unwrap();
         t = store.write_pages(t, client, f, 1, &[(0, &b)]).unwrap();
         // Rot the sole copy of data member 0 (benefactor 0 holds it).
-        store.attach_faults(
-            faults::FaultPlanBuilder::new(21)
-                .bit_rot(t + VTime::from_micros(1), 0, 10_000)
-                .build(),
-        );
+        store
+            .attach_faults(
+                faults::FaultPlanBuilder::new(21)
+                    .bit_rot(t + VTime::from_micros(1), 0, 10_000)
+                    .build(),
+            )
+            .unwrap();
         store.attach_scrub(
             ScrubConfig {
                 interval: VTime::from_millis(1),
@@ -4696,12 +4703,14 @@ mod tests {
             .unwrap();
         let crash = t + VTime::from_micros(1);
         let reboot = crash + VTime::from_millis(20);
-        store.attach_faults(
-            faults::FaultPlanBuilder::new(7)
-                .mgr_crash(crash, 0)
-                .mgr_recover(reboot, 0)
-                .build(),
-        );
+        store
+            .attach_faults(
+                faults::FaultPlanBuilder::new(7)
+                    .mgr_crash(crash, 0)
+                    .mgr_recover(reboot, 0)
+                    .build(),
+            )
+            .unwrap();
         let epoch_before = store.manager().placement_epoch();
         // The fetch lands mid-outage: it sits in the retry/backoff loop
         // until the scheduled reboot, then completes.
@@ -4716,7 +4725,9 @@ mod tests {
         assert!(store.manager().placement_epoch() > epoch_before);
         // A second crash with no recovery scheduled exhausts the window.
         let t3 = t2 + VTime::from_secs(1);
-        store.attach_faults(faults::FaultPlanBuilder::new(8).mgr_crash(t3, 0).build());
+        store
+            .attach_faults(faults::FaultPlanBuilder::new(8).mgr_crash(t3, 0).build())
+            .unwrap();
         let err = store.fetch_chunk(t3, 3, f, 0).unwrap_err();
         assert_eq!(err, StoreError::ManagerDown(0));
     }
@@ -4732,7 +4743,9 @@ mod tests {
         t = store.write_pages(t, 3, f, 1, &[(0, &data)]).unwrap();
         assert!(stats.get("store.journal_records") > 0, "mutations journal");
         let crash = t + VTime::from_micros(1);
-        store.attach_faults(faults::FaultPlanBuilder::new(9).mgr_crash(crash, 0).build());
+        store
+            .attach_faults(faults::FaultPlanBuilder::new(9).mgr_crash(crash, 0).build())
+            .unwrap();
         let epoch_before = store.manager().placement_epoch();
         // No reboot is scheduled: only the standby takeover can serve
         // this — journal replay, verification, epoch bump.
@@ -4781,11 +4794,13 @@ mod tests {
         assert!(granted > 0, "shard RPCs granted leases");
         assert_eq!(net.endpoint_node("shardmgr/0"), Some(1));
         let crash = t + VTime::from_micros(1);
-        store.attach_faults(
-            faults::FaultPlanBuilder::new(11)
-                .mgr_crash(crash, 0)
-                .build(),
-        );
+        store
+            .attach_faults(
+                faults::FaultPlanBuilder::new(11)
+                    .mgr_crash(crash, 0)
+                    .build(),
+            )
+            .unwrap();
         let revokes_before = stats.get("store.lease_revokes");
         // Every acked write reads back across the outage…
         for idx in 0..4 {
@@ -4797,9 +4812,275 @@ mod tests {
         let (_, found) = store.open(crash, 3, "/m").unwrap();
         assert_eq!(found, Some(f));
         assert_eq!(stats.get("store.mgr_failovers"), 1);
-        // The standby's node now answers rank 0's endpoint…
+        // The standby's node now answers rank 0's endpoint, and the
+        // node shard RPCs are sent to agrees with it…
         assert_eq!(net.endpoint_node("shardmgr/0"), Some(2));
+        assert_eq!(serving_node(&store, 0), 2);
+        assert_eq!(
+            net.endpoint_node("shardmgr/1"),
+            Some(serving_node(&store, 1))
+        );
         // …and every pre-crash delegation from rank 0 was revoked.
         assert!(stats.get("store.lease_revokes") > revokes_before);
+    }
+
+    /// The node shard `k`'s RPCs are sent to.
+    fn serving_node(store: &AggregateStore, k: usize) -> usize {
+        store.state.lock().shards.as_ref().unwrap().node(k)
+    }
+
+    /// `store_ha(true)` with `shards` placement shards installed (none for
+    /// the serial manager), each with a standby on the other benefactor.
+    fn store_ha_sharded(shards: usize) -> (AggregateStore, StatsRegistry) {
+        let stats = StatsRegistry::new();
+        let net = Network::new(4, NetConfig::default(), &stats);
+        let cfg = StoreConfig {
+            ha_standby: true,
+            manager_shards: shards,
+            fetch_retries: 12,
+            ..StoreConfig::default()
+        };
+        let store = AggregateStore::new(cfg, net, &stats);
+        for (i, node) in [1usize, 2].iter().enumerate() {
+            let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
+            store.add_benefactor(Benefactor::new(*node, ssd, mib(64), CHUNK));
+        }
+        if shards > 0 {
+            let nodes: Vec<usize> = (0..shards).map(|k| 1 + k % 2).collect();
+            let standbys: Vec<usize> = nodes.iter().map(|n| 3 - n).collect();
+            store.install_shards(&nodes, 77);
+            store.set_standby_nodes(&standbys);
+        }
+        (store, stats)
+    }
+
+    /// `(placement epoch, RevokeLeases records in journal lane 0)`.
+    fn epoch_and_lane0_revokes(store: &AggregateStore) -> (u64, usize) {
+        let mgr = store.manager();
+        let revokes = mgr
+            .journal()
+            .expect("HA journals")
+            .lane(0)
+            .iter()
+            .filter(|r| matches!(r, crate::journal::Record::RevokeLeases { .. }))
+            .count();
+        (mgr.placement_epoch(), revokes)
+    }
+
+    #[test]
+    fn takeover_and_cold_recover_each_revoke_once() {
+        for shards in [0, 2] {
+            let (store, stats) = store_ha_sharded(shards);
+            let f = make_file(&store, "/m", 2 * CHUNK);
+            let page = vec![4u8; 4096];
+            let t = store
+                .write_pages(VTime::ZERO, 3, f, 0, &[(0, &page)])
+                .unwrap();
+
+            // Standby takeover: the first probe past the deadline (a
+            // namespace op, so rank 0 answers it) promotes the standby.
+            let crash = t + VTime::from_micros(1);
+            store
+                .attach_faults(faults::FaultPlanBuilder::new(1).mgr_crash(crash, 0).build())
+                .unwrap();
+            let (epoch, revokes) = epoch_and_lane0_revokes(&store);
+            let late = crash + VTime::from_secs(1);
+            store.open(late, 3, "/m").unwrap();
+            assert_eq!(stats.get("store.mgr_failovers"), 1, "shards={shards}");
+            assert_eq!(
+                epoch_and_lane0_revokes(&store),
+                (epoch + 1, revokes + 1),
+                "takeover, shards={shards}"
+            );
+
+            // Cold recover: the reboot lands before any probe could take
+            // over, so the rank restarts with a cold lease table.
+            let crash = late + VTime::from_millis(1);
+            store
+                .attach_faults(
+                    faults::FaultPlanBuilder::new(2)
+                        .mgr_crash(crash, 0)
+                        .mgr_recover(crash + VTime::from_millis(1), 0)
+                        .build(),
+                )
+                .unwrap();
+            let (epoch, revokes) = epoch_and_lane0_revokes(&store);
+            store.poll_faults(crash + VTime::from_millis(2));
+            assert!(!store.manager_rank_down(0));
+            assert_eq!(stats.get("store.mgr_failovers"), 1, "no second takeover");
+            assert_eq!(
+                epoch_and_lane0_revokes(&store),
+                (epoch + 1, revokes + 1),
+                "cold recover, shards={shards}"
+            );
+        }
+    }
+
+    // ----- fault-plan validation ------------------------------------------------
+
+    #[test]
+    fn fault_plan_naming_a_missing_benefactor_is_rejected() {
+        let (store, _) = store();
+        let t = VTime::from_millis(1);
+        let err = store
+            .attach_faults(faults::FaultPlanBuilder::new(1).crash(t, 9).build())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::NoSuchFaultTarget {
+                target: FaultTarget::Benefactor(9),
+                have: 2,
+            }
+        );
+        // Nothing was installed: polling past the event time is harmless.
+        store.poll_faults(t);
+        assert!(store.manager().benefactor(BenefactorId(1)).is_alive());
+        let plan = faults::FaultPlanBuilder::new(1).crash(t, 1).build();
+        assert_eq!(store.attach_faults(plan), Ok(()));
+    }
+
+    #[test]
+    fn fault_plan_naming_a_missing_node_is_rejected() {
+        let (store, _) = store();
+        let t = VTime::from_millis(1);
+        let plans = [
+            faults::FaultPlanBuilder::new(1).partition(t, 4),
+            faults::FaultPlanBuilder::new(1).degrade_link(t, 7, 2.0, VTime::ZERO),
+            faults::FaultPlanBuilder::new(1).slow_ssd(t, 4, 3.0),
+        ];
+        for plan in plans {
+            let err = store.attach_faults(plan.build()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    StoreError::NoSuchFaultTarget {
+                        target: FaultTarget::Node(4 | 7),
+                        have: 4,
+                    }
+                ),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn fault_plan_naming_a_missing_shard_is_rejected() {
+        let (sharded, _) = store_sharded(2, 2);
+        let t = VTime::from_millis(1);
+        let err = sharded
+            .attach_faults(faults::FaultPlanBuilder::new(1).shard_crash(t, 5).build())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::NoSuchFaultTarget {
+                target: FaultTarget::Shard(5),
+                have: 2,
+            }
+        );
+        sharded.poll_faults(t);
+        assert!(sharded.shard_alive(0) && sharded.shard_alive(1));
+        // The serial manager has no shards at all.
+        let (serial, _) = store();
+        let plan = faults::FaultPlanBuilder::new(1).shard_crash(t, 0).build();
+        assert!(serial.attach_faults(plan).is_err());
+    }
+
+    #[test]
+    fn fault_plan_naming_a_missing_manager_rank_is_rejected() {
+        let t = VTime::from_millis(1);
+        let plan = || {
+            faults::FaultPlanBuilder::new(1)
+                .mgr_crash(t, 5)
+                .mgr_recover(t + VTime::from_millis(1), 5)
+                .build()
+        };
+        let (sharded, _) = store_sharded(2, 2);
+        assert_eq!(
+            sharded.attach_faults(plan()),
+            Err(StoreError::NoSuchFaultTarget {
+                target: FaultTarget::ManagerRank(5),
+                have: 2,
+            })
+        );
+        // The serial manager is one rank: rank 0.
+        let (serial, _) = store();
+        assert_eq!(
+            serial.attach_faults(plan()),
+            Err(StoreError::NoSuchFaultTarget {
+                target: FaultTarget::ManagerRank(5),
+                have: 1,
+            })
+        );
+        serial.poll_faults(t + VTime::from_millis(2));
+        assert!(!serial.manager_rank_down(5));
+    }
+
+    // ----- store state and gauge probes ----------------------------------------
+
+    #[test]
+    fn gauge_probes_never_find_the_state_lock_held() {
+        let stats = StatsRegistry::new();
+        let net = Network::new(4, NetConfig::default(), &stats);
+        let interval = VTime::from_millis(10);
+        let sampler = MetricsSampler::enabled(interval);
+        let store =
+            AggregateStore::new(StoreConfig::default(), net, &stats).with_sampler(sampler.clone());
+        for (i, node) in [1usize, 2].iter().enumerate() {
+            let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
+            store.add_benefactor(Benefactor::new(*node, ssd, mib(64), CHUNK));
+        }
+        store.install_shards(&[1, 2], 77);
+        store.attach_scrub(
+            ScrubConfig {
+                interval: VTime::from_millis(5),
+                ..ScrubConfig::default()
+            },
+            VTime::ZERO,
+        );
+        // One fresh file per sampler interval: each fallocate takes slots,
+        // each write lands a page and kicks the scrub daemon.
+        let page = vec![6u8; 4096];
+        let mut t = VTime::ZERO;
+        for step in 1..=6u64 {
+            t = t.max(interval * step);
+            let (t2, f) = store.create_file(t, 3, &format!("/f{step}")).unwrap();
+            t = store
+                .fallocate(
+                    t2,
+                    3,
+                    f,
+                    2 * CHUNK,
+                    StripeSpec::all(),
+                    PlacementPolicy::RoundRobin,
+                )
+                .unwrap();
+            for idx in 0..2 {
+                t = store.write_pages(t, 3, f, idx, &[(0, &page)]).unwrap();
+            }
+        }
+        assert!(stats.get("store.scrub_passes") > 0, "scrub ran");
+        sampler.sample_now(t);
+        let series = sampler.series();
+        let points = |name: &str| {
+            series
+                .iter()
+                .find(|s| s.name == name)
+                .map(|s| s.points.iter().map(|&(_, v)| v).collect::<Vec<u64>>())
+                .unwrap_or_default()
+        };
+        let free = points("store.free_slots");
+        assert!(free.len() >= 5, "a point per crossed boundary: {free:?}");
+        assert!(free.windows(2).all(|w| w[1] <= w[0]), "{free:?}");
+        let mut distinct = free.clone();
+        distinct.dedup();
+        assert!(distinct.len() >= 2, "probes saw the fleet fill: {free:?}");
+        assert_eq!(
+            free.last().copied(),
+            Some(store.manager().space().1 / CHUNK)
+        );
+        for k in 0..2 {
+            let q = points(&format!("store.shard_queue.s{k}"));
+            assert!(!q.is_empty(), "shard {k} queue gauge sampled");
+        }
     }
 }

@@ -61,7 +61,9 @@ fn prepare(
     if let Some(b) = victim {
         // All events land at-or-before the fetch epoch so the serial loop
         // and the single batch observe the same liveness set.
-        store.attach_faults(FaultPlanBuilder::new(99).crash(t, b).build());
+        store
+            .attach_faults(FaultPlanBuilder::new(99).crash(t, b).build())
+            .unwrap();
     }
     (store, stats, f, t + VTime::from_micros(1))
 }

@@ -262,9 +262,11 @@ impl Cluster {
 
     /// Install a [`faults::FaultPlan`] on the aggregate store: benefactor
     /// crashes/recoveries, link faults and SSD slowdowns fire as the jobs'
-    /// virtual clocks pass the scheduled times.
-    pub fn attach_faults(&self, plan: faults::FaultPlan) {
-        self.store.attach_faults(plan);
+    /// virtual clocks pass the scheduled times. A plan naming a component
+    /// the cluster lacks is rejected with
+    /// [`chunkstore::StoreError::NoSuchFaultTarget`].
+    pub fn attach_faults(&self, plan: faults::FaultPlan) -> chunkstore::Result<()> {
+        self.store.attach_faults(plan)
     }
 
     /// Map a benefactor index (`BenefactorId.0`, the order of
@@ -349,11 +351,13 @@ mod tests {
         // Primaries round-robin 0,1; standbys are offset by one node so
         // a takeover always moves the endpoint off the crashed host.
         assert_eq!(c.net.endpoint_node("shardmgr/0"), Some(0));
-        c.store.attach_faults(
-            faults::FaultPlanBuilder::new(3)
-                .mgr_crash(simcore::VTime::from_millis(1), 0)
-                .build(),
-        );
+        c.store
+            .attach_faults(
+                faults::FaultPlanBuilder::new(3)
+                    .mgr_crash(simcore::VTime::from_millis(1), 0)
+                    .build(),
+            )
+            .unwrap();
         c.store.poll_faults(simcore::VTime::from_millis(1));
         assert!(c.store.manager_rank_down(0));
         // Probe past the failover window: standby (node 1) takes over.

@@ -479,11 +479,13 @@ mod tests {
                 fuse,
             );
             if faulted {
-                cluster.attach_faults(
-                    faults::FaultPlanBuilder::new(11)
-                        .crash(VTime::from_millis(500), 0)
-                        .build(),
-                );
+                cluster
+                    .attach_faults(
+                        faults::FaultPlanBuilder::new(11)
+                            .crash(VTime::from_millis(500), 0)
+                            .build(),
+                    )
+                    .unwrap();
             }
             let result = run_job(&cluster, &cfg, Calibration::default(), |ctx, env| {
                 let v = env.client.ssdmalloc_shared::<u64>(ctx, "v", 4096).unwrap();
@@ -554,11 +556,13 @@ mod tests {
                 fuse,
             );
             if faulted {
-                cluster.attach_faults(
-                    faults::FaultPlanBuilder::new(13)
-                        .crash(VTime::from_millis(500), 0)
-                        .build(),
-                );
+                cluster
+                    .attach_faults(
+                        faults::FaultPlanBuilder::new(13)
+                            .crash(VTime::from_millis(500), 0)
+                            .build(),
+                    )
+                    .unwrap();
             }
             let result = run_job(&cluster, &cfg, Calibration::default(), |ctx, env| {
                 let v = env.client.ssdmalloc_shared::<u64>(ctx, "v", 4096).unwrap();

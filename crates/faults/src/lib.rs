@@ -134,6 +134,63 @@ impl FaultEvent {
             FaultEvent::ManagerRecover { shard } => format!("fault.mgr_recover m={shard}"),
         }
     }
+
+    /// The cluster component this event acts on, so a plan can be checked
+    /// against the store it is attached to before any event fires.
+    pub fn target(&self) -> FaultTarget {
+        match *self {
+            FaultEvent::BenefactorCrash { benefactor }
+            | FaultEvent::BenefactorRecover { benefactor }
+            | FaultEvent::BitRot { benefactor, .. }
+            | FaultEvent::TornWrite { benefactor }
+            | FaultEvent::CorruptionRate { benefactor, .. } => FaultTarget::Benefactor(benefactor),
+            FaultEvent::LinkDegrade { node, .. }
+            | FaultEvent::LinkRestore { node }
+            | FaultEvent::Partition { node }
+            | FaultEvent::Heal { node }
+            | FaultEvent::SsdSlowdown { node, .. }
+            | FaultEvent::SsdRestore { node } => FaultTarget::Node(node),
+            FaultEvent::ShardCrash { shard } | FaultEvent::ShardRecover { shard } => {
+                FaultTarget::Shard(shard)
+            }
+            FaultEvent::ManagerCrash { shard } | FaultEvent::ManagerRecover { shard } => {
+                FaultTarget::ManagerRank(shard)
+            }
+        }
+    }
+}
+
+/// What a [`FaultEvent`] names: a benefactor (registration index), a
+/// cluster node, a placement shard or a manager rank.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultTarget {
+    Benefactor(usize),
+    Node(usize),
+    Shard(usize),
+    ManagerRank(usize),
+}
+
+impl FaultTarget {
+    /// The target's index within its kind.
+    pub fn index(self) -> usize {
+        match self {
+            FaultTarget::Benefactor(i)
+            | FaultTarget::Node(i)
+            | FaultTarget::Shard(i)
+            | FaultTarget::ManagerRank(i) => i,
+        }
+    }
+}
+
+impl std::fmt::Display for FaultTarget {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultTarget::Benefactor(i) => write!(f, "benefactor#{i}"),
+            FaultTarget::Node(i) => write!(f, "node#{i}"),
+            FaultTarget::Shard(i) => write!(f, "shard#{i}"),
+            FaultTarget::ManagerRank(i) => write!(f, "manager rank#{i}"),
+        }
+    }
 }
 
 /// A [`FaultEvent`] scheduled at a virtual time.

@@ -449,7 +449,7 @@ fn benefactor_rot_and_torn_writes_never_reach_a_cached_share() {
         } else {
             plan.bit_rot(at, home.0, 10_000)
         };
-        m.store().attach_faults(plan.build());
+        m.store().attach_faults(plan.build()).unwrap();
         let t = at + VTime::from_micros(1);
         let t = if torn {
             let run = vec![0xEEu8; 8192];

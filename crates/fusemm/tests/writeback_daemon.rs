@@ -191,12 +191,14 @@ fn crashed_benefactor_leaves_dirty_bits_for_a_later_flush() {
     dirty_chunks(&m, f, 2, 11);
     assert_eq!(m.dirty_chunk_count(), 2);
 
-    m.store().attach_faults(
-        FaultPlanBuilder::new(42)
-            .crash(VTime::from_millis(1), 0)
-            .recover(VTime::from_secs(10), 0)
-            .build(),
-    );
+    m.store()
+        .attach_faults(
+            FaultPlanBuilder::new(42)
+                .crash(VTime::from_millis(1), 0)
+                .recover(VTime::from_secs(10), 0)
+                .build(),
+        )
+        .unwrap();
 
     // Unreplicated chunks homed on the dead benefactor cannot flush.
     let err = m.flush_file(VTime::from_millis(2), f);
@@ -240,12 +242,14 @@ fn replicated_flush_survives_crash_and_repair_restores_degree() {
     let t = dirty_chunks(&m, f, 2, 13);
     let t = m.flush_file(t, f).unwrap(); // fully replicated, pre-crash
 
-    m.store().attach_faults(
-        FaultPlanBuilder::new(7)
-            .crash(VTime::from_millis(1), 0)
-            .recover(VTime::from_secs(10), 0)
-            .build(),
-    );
+    m.store()
+        .attach_faults(
+            FaultPlanBuilder::new(7)
+                .crash(VTime::from_millis(1), 0)
+                .recover(VTime::from_secs(10), 0)
+                .build(),
+        )
+        .unwrap();
 
     // A cold mount after the crash reads through the degraded store.
     let m2 = Mount::new(m.store().clone(), 2, small_cache(), &stats);

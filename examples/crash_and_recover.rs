@@ -40,11 +40,13 @@ fn main() {
 
     // The fault plan: benefactor 0 dies at t = 500 ms. Seed 7 makes any
     // randomized events (none here) reproducible too.
-    cluster.attach_faults(
-        FaultPlanBuilder::new(7)
-            .crash(VTime::from_millis(500), 0)
-            .build(),
-    );
+    cluster
+        .attach_faults(
+            FaultPlanBuilder::new(7)
+                .crash(VTime::from_millis(500), 0)
+                .build(),
+        )
+        .expect("the plan names existing benefactors");
 
     let result = run_job(&cluster, &cfg, Calibration::default(), |ctx, env| {
         let field = env

@@ -118,6 +118,40 @@ fn benefactor_failure_surfaces_as_error() {
 }
 
 #[test]
+fn fault_plan_naming_a_missing_benefactor_is_rejected() {
+    // Benefactor 9 does not exist on a two-benefactor cluster: attaching
+    // the plan fails with a typed error instead of panicking when the
+    // event comes due, and nothing is installed.
+    let cfg = JobConfig::local(1, 2, 2);
+    let cluster = small_cluster(&cfg, 256);
+    let plan = faults::FaultPlanBuilder::new(5)
+        .crash(VTime::from_millis(1), 9)
+        .build();
+    assert_eq!(
+        cluster.attach_faults(plan),
+        Err(chunkstore::StoreError::NoSuchFaultTarget {
+            target: faults::FaultTarget::Benefactor(9),
+            have: 2,
+        })
+    );
+    // The cluster still serves a write-then-read well past the time the
+    // rejected event named; 4 MiB against a 1 MiB cache reaches the store.
+    let result = run_job(&cluster, &cfg, Calibration::default(), |ctx, env| {
+        let v: NvmVec<u64> = env.client.ssdmalloc(ctx, 1 << 19).expect("alloc");
+        let data: Vec<u64> = (0..1u64 << 19).map(|i| i ^ 0x5a).collect();
+        v.write_slice(ctx, 0, &data).expect("write");
+        v.flush(ctx).expect("flush");
+        env.compute(ctx, 1e9);
+        let mut out = vec![0u64; data.len()];
+        v.read_slice(ctx, 0, &mut out).expect("read");
+        out == data
+    });
+    assert!(result.outputs.iter().all(|ok| *ok));
+    assert!(cluster.stats.get("store.chunk_fetches") > 0);
+    assert_eq!(cluster.stats.get("store.benefactor_crashes"), 0);
+}
+
+#[test]
 fn wear_accounting_tracks_all_writes() {
     let cfg = JobConfig::local(2, 2, 2);
     let cluster = small_cluster(&cfg, 256);
